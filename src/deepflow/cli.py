@@ -30,9 +30,9 @@ from .derivation import (
 from .flow import extract, from_json, to_dot, to_json
 from .formula import FormulaSyntaxError, fparse, fprint
 from .lift import normalize_proof
-from .metrics import metrics_record, open_ai_paths
+from .metrics import PathCountDivergence, metrics_record, open_ai_paths
 from .resolution import ResCheckFailure, ResSyntaxError, parse_res, simulate
-from .rewrite import normalize, trace_to_json
+from .rewrite import WK, normalize, trace_to_json
 from .simulations import php_formula, php_ks, truthtable_ks
 
 SYSTEMS = {"KS": KS, "KS+": KS_PLUS, "SKS": SKS}
@@ -162,7 +162,7 @@ def cmd_metrics(args, report):
     if args.path.endswith(".json"):
         try:
             flow = from_json(text)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad flow JSON: {exc}", 2)
     else:
         try:
@@ -174,9 +174,11 @@ def cmd_metrics(args, report):
             report["assertions"].append(("check", False, "input does not check in SKS"))
             return 1
         flow = extract(d, assume_checked=True).flow
-    report["metrics"] = metrics_record(flow)
-    if not getattr(args, "json_out", False):
-        pass
+    try:
+        report["metrics"] = metrics_record(flow)
+    except PathCountDivergence as exc:
+        report["assertions"].append(("metrics", False, str(exc)))
+        return 1
     return 0
 
 
@@ -257,7 +259,7 @@ def cmd_bench(args, report):
         elif args.family == "cubic":
             flow = families.cubic_flow(n)
             nf, trace = normalize(flow, measures=False)
-            wk = sum(1 for t in trace if t.rule in ("wd-cd", "id-wu", "cu-wu", "wd-cu", "wd-wu", "cd-wu"))
+            wk = sum(1 for t in trace if t.rule in WK)
             row = (n, flow.n_edges, nf.n_edges, wk, len(trace) - wk, open_ai_paths(flow))
         elif args.family == "php":
             from .simulations import php_ksplus

@@ -102,7 +102,7 @@ def step(rule: str, upper: Derivation, lower: Derivation) -> Derivation:
     return Derivation(STEP, rule=rule, a=upper, b=lower)
 
 
-def _bottom_up(d: Derivation, f):
+def bottom_up(d: Derivation, f):
     """Evaluate f(node, aval, bval) bottom-up over the derivation DAG."""
     vals = {}
     keep = []  # prevent id reuse while computing
@@ -151,7 +151,7 @@ def endpoints(d: Derivation):
         node._pr, node._cn = pr, cn
         return pr, cn
 
-    return _bottom_up(d, f)
+    return bottom_up(d, f)
 
 
 def premiss(d: Derivation) -> Formula:
@@ -178,11 +178,11 @@ def size(d: Derivation) -> int:
         node._size = n
         return n
 
-    return _bottom_up(d, f)
+    return bottom_up(d, f)
 
 
 def step_count(d: Derivation) -> int:
-    return _bottom_up(d, lambda n, a, b: (0 if n.kind == LEAF else a + b + (1 if n.kind == STEP else 0)))
+    return bottom_up(d, lambda n, a, b: (0 if n.kind == LEAF else a + b + (1 if n.kind == STEP else 0)))
 
 
 def rule_census(d: Derivation) -> dict:
@@ -196,7 +196,7 @@ def rule_census(d: Derivation) -> dict:
             out[node.rule] = out.get(node.rule, 0) + 1
         return out
 
-    return _bottom_up(d, f)
+    return bottom_up(d, f)
 
 
 def iter_nodes(d: Derivation):
@@ -435,7 +435,7 @@ def dualize(d: Derivation) -> Derivation:
             return compose(AND if node.rule == OR else OR, vb, va)
         return step(_DUAL_RULE[node.rule], vb, va)
 
-    return _bottom_up(d, f)
+    return bottom_up(d, f)
 
 
 # -- generic rules --------------------------------------------------------------
@@ -640,7 +640,7 @@ def substitute_atom(d: Derivation, a: Formula, r: Formula) -> Derivation:
             return compose(node.rule, va, vb)
         return step(node.rule, va, vb)
 
-    return _bottom_up(d, f)
+    return bottom_up(d, f)
 
 
 # -- .sksd text format -----------------------------------------------------------

@@ -71,9 +71,6 @@ class AtomicFlow:
     def n_edges(self):
         return len(self.edges)
 
-    def size(self):
-        return len(self.edges)
-
     def _adjacency(self):
         if self._ins is None:
             ins = {n: {} for n in self.nodes}
@@ -141,9 +138,7 @@ class FlowBuilder:
     def build(self, validated=True) -> AtomicFlow:
         f = AtomicFlow(self._nodes, self._edges)
         if validated:
-            report = validate(f)
-            if not report.ok:
-                raise ValueError(f"invalid flow: {report.errors}")
+            require_valid(f)
         return f
 
 
@@ -156,11 +151,37 @@ class FlowReport:
         return self.ok
 
 
+def topo_sort(succ):
+    """Kahn's algorithm: an order of succ's keys that puts every key before its
+    successors, or None when succ has a cycle.  Every successor is a key."""
+    indeg = dict.fromkeys(succ, 0)
+    for nxt in succ.values():
+        for m in nxt:
+            indeg[m] += 1
+    queue = [n for n, d in indeg.items() if d == 0]
+    order = []
+    while queue:
+        n = queue.pop()
+        order.append(n)
+        for m in succ[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                queue.append(m)
+    return order if len(order) == len(succ) else None
+
+
 def validate(flow: AtomicFlow) -> FlowReport:
-    """Arity, port typing and acyclicity checks."""
+    """Node kind, arity, port typing and acyclicity checks."""
     errors = []
+    arity = {}
+    for n, kind in flow.nodes.items():
+        if kind in NODE_KINDS:
+            arity[n] = ARITY[kind]
+        else:
+            errors.append(("unknown-kind", f"node {n} has unknown kind {kind!r}"))
     ins = {n: set() for n in flow.nodes}
     outs = {n: set() for n in flow.nodes}
+    succ = {n: [] for n in flow.nodes}
     for e, (src, tgt) in flow.edges.items():
         for end, table, which in ((src, outs, "out"), (tgt, ins, "in")):
             if end is None:
@@ -169,60 +190,34 @@ def validate(flow: AtomicFlow) -> FlowReport:
             if n not in flow.nodes:
                 errors.append(("dangling-port", f"edge {e} references missing node {n}"))
                 continue
-            lim = ARITY[flow.nodes[n]][0 if which == "in" else 1]
+            if n not in arity:
+                continue
+            lim = arity[n][0 if which == "in" else 1]
             if not (0 <= port < lim):
                 errors.append(("arity-violation", f"edge {e} uses {which}-port {port} of {flow.nodes[n]} node {n}"))
                 continue
             if port in table[n]:
                 errors.append(("arity-violation", f"{which}-port {port} of node {n} attached twice"))
             table[n].add(port)
-    for n, kind in flow.nodes.items():
-        want_in, want_out = ARITY[kind]
+        if src is not None and tgt is not None and src[0] in succ and tgt[0] in succ:
+            succ[src[0]].append(tgt[0])
+    for n, (want_in, want_out) in arity.items():
+        kind = flow.nodes[n]
         if len(ins[n]) != want_in:
             errors.append(("arity-violation", f"node {n} ({kind}) has {len(ins[n])}/{want_in} in-edges"))
         if len(outs[n]) != want_out:
             errors.append(("arity-violation", f"node {n} ({kind}) has {len(outs[n])}/{want_out} out-edges"))
     # acyclicity of the node graph, edges oriented downward
-    succ = {n: [] for n in flow.nodes}
-    indeg = {n: 0 for n in flow.nodes}
-    for e, (src, tgt) in flow.edges.items():
-        if src is not None and tgt is not None:
-            succ[src[0]].append(tgt[0])
-            indeg[tgt[0]] += 1
-    queue = [n for n, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if seen != len(flow.nodes):
+    if topo_sort(succ) is None:
         errors.append(("cycle-found", "directed cycle among nodes"))
     return FlowReport(not errors, errors)
 
 
-def topo_order(flow: AtomicFlow):
-    """Nodes in a topological order of the downward edge relation."""
-    succ = {n: [] for n in flow.nodes}
-    indeg = {n: 0 for n in flow.nodes}
-    for e, (src, tgt) in flow.edges.items():
-        if src is not None and tgt is not None:
-            succ[src[0]].append(tgt[0])
-            indeg[tgt[0]] += 1
-    queue = sorted((n for n, d in indeg.items() if d == 0), reverse=True)
-    out = []
-    while queue:
-        n = queue.pop()
-        out.append(n)
-        for m in succ[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if len(out) != len(flow.nodes):
-        raise ValueError("flow has a cycle")
-    return out
+def require_valid(flow: AtomicFlow):
+    """Raise ValueError with the validation errors unless flow is valid."""
+    report = validate(flow)
+    if not report.ok:
+        raise ValueError(f"invalid flow: {report.errors}")
 
 
 # -- extraction -----------------------------------------------------------------
@@ -607,13 +602,23 @@ def to_json(flow: AtomicFlow) -> str:
 
 
 def from_json(text: str) -> AtomicFlow:
-    data = json.loads(text)
-    nodes = {int(n["id"]): n["kind"] for n in data["nodes"]}
-    edges = {}
-    for e in data["edges"]:
-        s = None if e["from"] == PENDING_TOP else (int(e["from"][0]), int(e["from"][1]))
-        t = None if e["to"] == PENDING_BOTTOM else (int(e["to"][0]), int(e["to"][1]))
-        edges[int(e["id"])] = (s, t)
+    """Parse and validate flow JSON; every malformed input raises ValueError."""
+    try:
+        data = json.loads(text)
+        nodes = [(int(n["id"]), n["kind"]) for n in data["nodes"]]
+        edges = []
+        for e in data["edges"]:
+            s = None if e["from"] == PENDING_TOP else (int(e["from"][0]), int(e["from"][1]))
+            t = None if e["to"] == PENDING_BOTTOM else (int(e["to"][0]), int(e["to"][1]))
+            edges.append((int(e["id"]), (s, t)))
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"invalid flow JSON: malformed ({exc!r})") from exc
+    for what, items in (("node", nodes), ("edge", edges)):
+        seen = set()
+        for i, _ in items:
+            if i in seen:
+                raise ValueError(f"invalid flow JSON: duplicate {what} id {i}")
+            seen.add(i)
     flow = AtomicFlow(nodes, edges)
     report = validate(flow)
     if not report.ok:

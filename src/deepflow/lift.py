@@ -59,10 +59,9 @@ from .rewrite import (
     WD_WU,
     WK,
     Redex,
-    _MutFlow,
-    _scan,
     apply_redex,
     normalize,
+    scan_redexes,
 )
 
 
@@ -252,8 +251,7 @@ def lift_step(d: Derivation, redex: Redex, ext: Extraction | None = None, verify
     """
     if ext is None:
         ext = extract(d)
-    mut = _MutFlow(ext.flow)
-    mut.check_redex(redex)  # raises StaleRedexError on mismatch
+    reduct = apply_redex(ext.flow, redex)  # raises StaleRedexError on mismatch
     trie = {}
     _surgery_for(trie, d, ext, redex)
     result = _rebuild(d, trie)
@@ -263,15 +261,17 @@ def lift_step(d: Derivation, redex: Redex, ext: Extraction | None = None, verify
     if endpoints_of(result) != endpoints_of(d):
         raise LiftError("lift step changed the endpoints")
     if verify:
-        reduct = apply_redex(ext.flow, redex)
-        new_ext = extract(result, assume_checked=True)
-        if new_ext.flow.kind_census() != reduct.kind_census() or len(
-            new_ext.flow.edges
-        ) != len(reduct.edges):
-            raise LiftError("lifted flow does not match the reduct")
-        if len(reduct.nodes) <= 40 and not iso(new_ext.flow, reduct):
-            raise LiftError("lifted flow is not isomorphic to the reduct")
+        _require_same_flow(extract(result, assume_checked=True).flow, reduct, "lifted flow", "the reduct")
     return result
+
+
+def _require_same_flow(got, want, what, target):
+    """Compare kind census and edge count, and for flows of at most 40 nodes
+    decide isomorphism."""
+    if got.kind_census() != want.kind_census() or len(got.edges) != len(want.edges):
+        raise LiftError(f"{what} does not match {target}")
+    if len(want.nodes) <= 40 and not iso(got, want):
+        raise LiftError(f"{what} is not isomorphic to {target}")
 
 
 def endpoints_of(d: Derivation):
@@ -308,7 +308,7 @@ def normalize_proof(d: Derivation, with_report: bool = False):
     careful = size(d) <= 20000
     for sub in (WK, CONT):
         while True:
-            redexes = _scan(ext.flow.nodes, ext.flow.edges, sub)
+            redexes = scan_redexes(ext.flow, sub)
             if not redexes:
                 break
             passes += 1
@@ -335,12 +335,9 @@ def normalize_proof(d: Derivation, with_report: bool = False):
     if endpoints_of(current) != endpoints_of(d):
         raise LiftError("normalization changed the endpoints")
     final = ext.flow
-    if _scan(final.nodes, final.edges, NORM):
+    if scan_redexes(final, NORM):
         raise LiftError("result flow still has redexes")
-    if final.kind_census() != target.kind_census() or len(final.edges) != len(target.edges):
-        raise LiftError("result flow disagrees with the flow-level normal form")
-    if len(target.nodes) <= 40 and not iso(final, target):
-        raise LiftError("result flow not isomorphic to the flow-level normal form")
+    _require_same_flow(final, target, "result flow", "the flow-level normal form")
     if with_report:
         report = NormalizeProofReport(
             wk_steps,

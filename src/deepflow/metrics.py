@@ -10,7 +10,7 @@ enumerator is the oracle it is tested against.
 from __future__ import annotations
 
 from .derivation import ACD, ACU, AID, AIU, AWD, AWU
-from .flow import AtomicFlow, validate
+from .flow import AtomicFlow, require_valid, topo_sort
 
 DOWN, UP = 0, 1
 
@@ -21,12 +21,6 @@ class PathCountDivergence(RuntimeError):
 
 class CapExceeded(ValueError):
     pass
-
-
-def _require_valid(flow):
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow: {report.errors}")
 
 
 def _state_graph(flow: AtomicFlow):
@@ -83,20 +77,8 @@ def _state_graph(flow: AtomicFlow):
 
 
 def _topo_states(succ):
-    indeg = {s: 0 for s in succ}
-    for s, nxt in succ.items():
-        for t in nxt:
-            indeg[t] += 1
-    queue = [s for s, d in indeg.items() if d == 0]
-    order = []
-    while queue:
-        s = queue.pop()
-        order.append(s)
-        for t in succ[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if len(order) != len(succ):
+    order = topo_sort(succ)
+    if order is None:
         raise PathCountDivergence("ai-path state graph is cyclic")
     return order
 
@@ -107,7 +89,7 @@ def open_ai_paths(flow: AtomicFlow) -> int:
     Each open path is counted once from each pending endpoint, so the total
     is half the sum over pending ends of the continuation counts.
     """
-    _require_valid(flow)
+    require_valid(flow)
     if not flow.edges:
         return 0
     succ, endnode = _state_graph(flow)
@@ -131,7 +113,7 @@ def open_ai_paths(flow: AtomicFlow) -> int:
 def open_ai_paths_bruteforce(flow: AtomicFlow, cap: int = 25) -> int:
     """Exhaustive DFS enumeration of open ai-paths, deduplicated modulo
     inversion by keeping the lexicographically smaller orientation."""
-    _require_valid(flow)
+    require_valid(flow)
     if len(flow.edges) > cap:
         raise CapExceeded(f"flow has {len(flow.edges)} > {cap} edges")
     paths = set()
@@ -189,7 +171,7 @@ def node_count(flow: AtomicFlow, kind: str) -> int:
 def edge_weight(flow: AtomicFlow, edge: int) -> int:
     """Number of directed paths from the edge to a coweakening node or a
     pending bottom end."""
-    _require_valid(flow)
+    require_valid(flow)
     if edge not in flow.edges:
         raise KeyError(f"unknown edge id {edge}")
     return _all_weights(flow)[edge]
@@ -211,32 +193,13 @@ def _all_weights(flow: AtomicFlow):
             succ[e] = list(flow.out_edges(n))
         else:  # aiu: not a bottom element
             succ[e] = []
+    order = topo_sort({e: nxt or () for e, nxt in succ.items()})
+    if order is None:
+        raise PathCountDivergence("weight recursion is cyclic")
     weights = {}
-    indeg = {e: 0 for e in flow.edges}
-    for e, nxt in succ.items():
-        if nxt:
-            for t in nxt:
-                indeg[t] += 1
-    # reverse topological: process edges whose successors are done
-    order = []
-    pending = {e: (len(succ[e]) if succ[e] else 0) for e in flow.edges}
-    rdeps = {e: [] for e in flow.edges}
-    for e, nxt in succ.items():
-        if nxt:
-            for t in nxt:
-                rdeps[t].append(e)
-    queue = [e for e, c in pending.items() if c == 0]
-    while queue:
-        e = queue.pop()
-        order.append(e)
+    for e in reversed(order):  # successors first
         nxt = succ[e]
         weights[e] = 1 if nxt is None else sum(weights[t] for t in nxt)
-        for p in rdeps[e]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                queue.append(p)
-    if len(order) != len(flow.edges):
-        raise PathCountDivergence("weight recursion is cyclic")
     return weights
 
 
@@ -249,62 +212,36 @@ def dimensions(flow: AtomicFlow):
     along any ai-path, with connected same-kind runs collapsed by that super
     node convention.  Breadth counts connected components.
     """
-    _require_valid(flow)
+    require_valid(flow)
     if not flow.nodes and not flow.edges:
         return 0, 0, 0
 
-    # breadth: components over nodes and edges
-    parent = {}
-
-    def find(x):
+    def find(parent, x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for n in flow.nodes:
-        parent[("n", n)] = ("n", n)
-    for e in flow.edges:
-        parent[("e", e)] = ("e", e)
+    # breadth: components over nodes and edges
+    parent = {("n", n): ("n", n) for n in flow.nodes}
+    parent.update((("e", e), ("e", e)) for e in flow.edges)
     for e, (src, tgt) in flow.edges.items():
-        if src is not None:
-            union(("e", e), ("n", src[0]))
-        if tgt is not None:
-            union(("e", e), ("n", tgt[0]))
-    breadth = len({find(x) for x in parent})
+        for end in (src, tgt):
+            if end is not None:
+                parent[find(parent, ("e", e))] = find(parent, ("n", end[0]))
+    breadth = len({find(parent, x) for x in parent})
 
-    # width: connected same-kind contraction blocks
-    width = 1
-    for kind in (ACD, ACU):
-        members = [n for n, k in flow.nodes.items() if k == kind]
-        if not members:
-            continue
-        p2 = {n: n for n in members}
-
-        def find2(x):
-            while p2[x] != x:
-                p2[x] = p2[p2[x]]
-                x = p2[x]
-            return x
-
-        for e, (src, tgt) in flow.edges.items():
-            if (
-                src is not None
-                and tgt is not None
-                and flow.nodes[src[0]] == kind
-                and flow.nodes[tgt[0]] == kind
-            ):
-                p2[find2(src[0])] = find2(tgt[0])
-        sizes = {}
-        for n in members:
-            r = find2(n)
-            sizes[r] = sizes.get(r, 0) + 1
-        width = max(width, max(sizes.values()) + 1)
+    # width: connected same-kind contraction blocks; an edge joining two
+    # nodes of one kind joins their blocks
+    block = {n: n for n, k in flow.nodes.items() if k in (ACD, ACU)}
+    for src, tgt in flow.edges.values():
+        if src is not None and tgt is not None and src[0] in block and flow.nodes[src[0]] == flow.nodes[tgt[0]]:
+            block[find(block, src[0])] = find(block, tgt[0])
+    sizes = {}
+    for n in block:
+        r = find(block, n)
+        sizes[r] = sizes.get(r, 0) + 1
+    width = max(sizes.values(), default=0) + 1
 
     # length: max kind changes along any ai-path
     succ, endnode = _state_graph(flow)
@@ -343,7 +280,7 @@ def dimensions(flow: AtomicFlow):
 def contraction_loops(flow: AtomicFlow):
     """All (cocontraction, contraction) pairs joined by two edge-disjoint
     directed paths, found by unit-capacity max flow."""
-    _require_valid(flow)
+    require_valid(flow)
     ups = sorted(n for n, k in flow.nodes.items() if k == ACU)
     downs = sorted(n for n, k in flow.nodes.items() if k == ACD)
     if not ups or not downs:

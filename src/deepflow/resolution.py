@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .derivation import (
     ACD,
-    ACU,
     AIU,
     GCU,
     GIU,
@@ -463,58 +462,6 @@ class UnsupportedModeError(ValueError):
     pass
 
 
-def _assert_treelike_cocontractions(flow):
-    """Tree-likeness keeps every line duplication half-used.
-
-    Each cocontraction either keeps a pending copy (a line duplicated for its
-    single use) or sits on an axiom residual chain, one of whose outputs
-    never reaches a contraction; either way no two edge-disjoint paths can
-    leave it toward one contraction.
-    """
-    down_reach_acd = {}
-
-    def reaches_acd(n):
-        if n in down_reach_acd:
-            return down_reach_acd[n]
-        seen = set()
-        stack = [n]
-        found = False
-        while stack:
-            x = stack.pop()
-            for e in flow.out_edges(x):
-                t = flow.edges[e][1]
-                if t is None:
-                    continue
-                m = t[0]
-                if flow.nodes[m] == ACD:
-                    found = True
-                    stack = []
-                    break
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        down_reach_acd[n] = found
-        return found
-
-    for n, kind in flow.nodes.items():
-        if kind != ACU:
-            continue
-        outs = flow.out_edges(n)
-        if any(flow.edges[e][1] is None for e in outs):
-            continue
-        ok = False
-        for e in outs:
-            t = flow.edges[e][1]
-            m = t[0]
-            if flow.nodes[m] != ACD and not reaches_acd(m):
-                ok = True
-                break
-        if not ok:
-            raise AssertionError(
-                "cocontraction with both copies reaching contractions; derivation is not tree-like"
-            )
-
-
 def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
     """Compile a refutation into a checked KS proof of the dual disjunction."""
     report = check_res(pi, axioms)
@@ -529,8 +476,6 @@ def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
     census = rule_census(r_der)
     if pi.mode == "multiset" and census.get(ACD, 0) != 0:
         raise AssertionError("multiset translation produced contraction steps")
-    if pi.tree_like:
-        _assert_treelike_cocontractions(extract(r_der).flow)
 
     # finish at F: coweaken everything except the final empty line
     cn = conclusion(r_der)
@@ -551,7 +496,7 @@ def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
     if pi.tree_like:
         loops = contraction_loops(extract(ks_plus_proof, assume_checked=True).flow)
         if loops:
-            raise AssertionError(f"tree-like image has contraction loops: {loops}")
+            raise UnsupportedModeError(f"tree-like image has contraction loops: {loops}")
     ks_proof = normalize_proof(ks_plus_proof)
     ensure_checked(ks_proof, KS)
     if with_proofs:

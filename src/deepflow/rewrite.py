@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .derivation import ACD, ACU, AID, AWD, AWU
-from .flow import AtomicFlow, flow_fingerprint, iso, topo_order, validate
+from .flow import AtomicFlow, flow_fingerprint, iso, require_valid, topo_sort
 
 WD_CD, ID_WU, CU_WU, WD_CU, WD_WU, CD_WU, CD_CU, ID_CU = (
     "wd-cd",
@@ -100,16 +100,17 @@ def trace_to_json(trace) -> str:
 
 
 def find_redexes(flow: AtomicFlow, sub=NORM):
-    """All redexes of the subsystem, deterministically ordered."""
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow: {report.errors}")
-    return _scan(flow.nodes, flow.edges, sub)
+    """All redexes of the subsystem in a valid flow, deterministically ordered."""
+    require_valid(flow)
+    return scan_redexes(flow, sub)
 
 
-def _scan(nodes, edges, sub):
+def scan_redexes(flow, sub=NORM):
+    """find_redexes without validation, for any object with nodes and edges
+    dicts (an AtomicFlow or the mutable flow of normalization)."""
+    nodes = flow.nodes
     out = []
-    for e, (s, t) in edges.items():
+    for e, (s, t) in flow.edges.items():
         if s is None or t is None:
             continue
         rule = _PATTERN.get((nodes[s[0]], nodes[t[0]]))
@@ -303,14 +304,23 @@ def apply_redex(flow: AtomicFlow, r: Redex) -> AtomicFlow:
 # -- termination measure -----------------------------------------------------------
 
 
-def _distance_values(nodes, edges, ins):
-    """Longest-hop distance of each node from a creating element above it.
+def _d_sequence(nodes, edges, ins):
+    """Cocontraction counts by distance from the top: entry k counts the
+    cocontractions at distance k.
 
-    A node whose in-edge comes from an identity, a weakening, or a pending
-    top end is at distance 1.
+    The distance of a node is the longest hop count up to a creating element;
+    a node whose in-edge comes from an identity, a weakening, or a pending
+    top end is at distance 1.  ins maps each node to its {port: in-edge}.
     """
-    order = topo_order(AtomicFlow(nodes, edges))
+    succ = {n: [] for n in nodes}
+    for s, t in edges.values():
+        if s is not None and t is not None:
+            succ[s[0]].append(t[0])
+    order = topo_sort(succ)
+    if order is None:
+        raise ValueError("flow has a cycle")
     d = {}
+    counts = {}
     for n in order:
         best = 0
         for e in ins[n].values():
@@ -322,56 +332,44 @@ def _distance_values(nodes, edges, ins):
             if hop > best:
                 best = hop
         d[n] = best
-    return d
+        if nodes[n] == ACU:
+            counts[best] = counts.get(best, 0) + 1
+    seq = [0] * ((max(counts) + 1) if counts else 0)
+    for i, c in counts.items():
+        seq[i] = c
+    return tuple(seq)
 
 
 def termination_measure(flow: AtomicFlow):
     """(D sequence counting cocontractions by distance from the top, size)."""
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow: {report.errors}")
-    ins = {n: {} for n in flow.nodes}
-    for e, (s, t) in flow.edges.items():
-        if t is not None:
-            ins[t[0]][t[1]] = e
-    d = _distance_values(flow.nodes, flow.edges, ins)
-    if not flow.nodes:
-        return (), len(flow.edges)
-    counts = {}
-    for n, kind in flow.nodes.items():
-        if kind == ACU:
-            counts[d[n]] = counts.get(d[n], 0) + 1
-    if not counts:
-        return (), len(flow.edges)
-    seq = [0] * (max(counts) + 1)
-    for i, c in counts.items():
-        seq[i] = c
-    return tuple(seq), len(flow.edges)
+    require_valid(flow)
+    m = _MutFlow(flow)
+    return _d_sequence(m.nodes, m.edges, m.ins), len(flow.edges)
+
+
+def _padded(a, b):
+    """a and b as tuples zero-padded to one length."""
+    n = max(len(a), len(b))
+    return tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
 
 
 def d_sequence_less(a, b):
     """a < b when a_k < b_k for some k and a_i <= b_i for every i > k."""
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    for i in range(n - 1, -1, -1):
+    a, b = _padded(a, b)
+    for i in range(len(a) - 1, -1, -1):
         if a[i] != b[i]:
             return a[i] < b[i]
     return False
 
 
 def _pad_le(a, b):
-    n = max(len(a), len(b))
-    pa = tuple(a) + (0,) * (n - len(a))
-    pb = tuple(b) + (0,) * (n - len(b))
+    pa, pb = _padded(a, b)
     return pa == pb or d_sequence_less(pa, pb)
 
 
 def measure_less(m1, m2):
     """Strict decrease of the lexicographic product D x size."""
-    n = max(len(m1[0]), len(m2[0]))
-    pa = tuple(m1[0]) + (0,) * (n - len(m1[0]))
-    pb = tuple(m2[0]) + (0,) * (n - len(m2[0]))
+    pa, pb = _padded(m1[0], m2[0])
     if pa == pb:
         return m1[1] < m2[1]
     return d_sequence_less(pa, pb)
@@ -398,9 +396,7 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
     count.  (The full product does not decrease for id-cu in general; see the
     format notes.)
     """
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow: {report.errors}")
+    require_valid(flow)
     if measures is None:
         measures = len(flow.edges) <= 600
 
@@ -409,28 +405,16 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
     initial_size = len(flow.edges)
     wk_steps = 0
     cont_steps = 0
-
-    def snapshot():
-        if not measures:
-            return None, None
-        d = _distance_values(m.nodes, m.edges, m.ins)
-        counts = {}
-        for n, kind in m.nodes.items():
-            if kind == ACU:
-                counts[d[n]] = counts.get(d[n], 0) + 1
-        seq = [0] * ((max(counts) + 1) if counts else 0)
-        for i, c in counts.items():
-            seq[i] = c
-        return tuple(seq), len(m.edges)
+    # D of the current flow; nothing changes the flow between two steps, so
+    # one step's D after is the next step's D before
+    d_now = _d_sequence(m.nodes, m.edges, m.ins) if measures else None
 
     def run_batch(redexes):
-        nonlocal wk_steps, cont_steps
+        nonlocal wk_steps, cont_steps, d_now
         used = set()
         for r in redexes:
             if r.src in used or r.tgt in used:
                 continue
-            before = snapshot() if measures else (None, None)
-            acu_before = sum(1 for k in m.nodes.values() if k == ACU)
             size_before = len(m.edges)
             m.apply(r)
             used.add(r.src)
@@ -440,20 +424,18 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
                 raise NormalizationError(f"{r.rule} changed size by {size_after - size_before}")
             d_after = None
             if measures:
-                after = snapshot()
-                d_after = after[0]
+                d_before = d_now
+                d_after = d_now = _d_sequence(m.nodes, m.edges, m.ins)
                 if r.rule in WK:
                     if not size_after < size_before:
                         raise NormalizationError(f"wk step {r.rule} did not shrink the flow")
-                    if not _pad_le(after[0], before[0]):
+                    if not _pad_le(d_after, d_before):
                         raise NormalizationError(f"wk step {r.rule} raised the distance sequence")
                 elif r.rule == CD_CU:
-                    if not measure_less(after, before):
+                    if not measure_less((d_after, size_after), (d_before, size_before)):
                         raise NormalizationError("cd-cu did not decrease the measure")
-                else:  # id-cu
-                    acu_after = sum(1 for k in m.nodes.values() if k == ACU)
-                    if not acu_after < acu_before:
-                        raise NormalizationError("id-cu did not remove a cocontraction")
+                elif not sum(d_after) < sum(d_before):  # id-cu; sum(D) counts cocontractions
+                    raise NormalizationError("id-cu did not remove a cocontraction")
                 if r.rule in CONT and not size_after > size_before:
                     raise NormalizationError(f"cont step {r.rule} did not grow the flow")
             trace.append(TraceStep(r.rule, r.anchors(), size_after, d_after))
@@ -465,24 +447,24 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
     if strategy == "wk-first":
         for sub in (WK, CONT):
             while True:
-                redexes = _scan(m.nodes, m.edges, sub)
+                redexes = scan_redexes(m, sub)
                 if not redexes:
                     break
                 run_batch(redexes)
     elif strategy == "cont-first":
         while True:
-            redexes = _scan(m.nodes, m.edges, CONT)
+            redexes = scan_redexes(m, CONT)
             if redexes:
                 run_batch(redexes[:1])
                 continue
-            redexes = _scan(m.nodes, m.edges, WK)
+            redexes = scan_redexes(m, WK)
             if not redexes:
                 break
             run_batch(redexes[:1])
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    if _scan(m.nodes, m.edges, NORM):
+    if scan_redexes(m, NORM):
         raise NormalizationError("normal form still has redexes")
     result = m.freeze()
     if strategy == "wk-first":
@@ -506,9 +488,7 @@ def explore_reductions(flow: AtomicFlow, cap: int = 20000):
     Confluence predicts a singleton; the cap bounds the number of distinct
     states explored.
     """
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow: {report.errors}")
+    require_valid(flow)
 
     def seen_before(buckets, f):
         key = flow_fingerprint(f)

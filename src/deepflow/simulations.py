@@ -20,6 +20,7 @@ import os
 import random
 
 from .derivation import (
+    ACD,
     AID,
     AIU,
     AWD,
@@ -35,7 +36,7 @@ from .derivation import (
     S,
     SKS,
     Derivation,
-    _bottom_up,
+    bottom_up,
     check,
     compose,
     conclusion,
@@ -49,6 +50,7 @@ from .derivation import (
     leaf,
     pair_block,
     premiss,
+    rule_census,
     step,
 )
 from .formula import (
@@ -59,6 +61,7 @@ from .formula import (
     disj,
     disj_all,
     dual,
+    eq_mod,
     evaluate,
     fprint,
     is_tautology,
@@ -348,7 +351,7 @@ def _retain_cuts(d: Derivation):
         d2, merged = _merge_pairs(d2, conclusion(node.b), list(pb) + list(pa))
         return d2, merged
 
-    return _bottom_up(d, f)
+    return bottom_up(d, f)
 
 
 def switch_cut(d: Derivation) -> Derivation:
@@ -615,11 +618,11 @@ def phi_st(n: int, s: int, t: int, variant: str) -> Derivation:
         present = [row]
         mid = disj(bot, disj_all(present))
         d = glue(d, leaf(mid))
-    missing = [x for x in _variant_disjuncts(n, variant) if not _present(x, present)]
+    missing = [x for x in _variant_disjuncts(n, variant) if not any(eq_mod(x, p) for p in present)]
     d = glue(d, in_context(mid, (0,), expand_generic(GWD, disj_all(missing))))
     d = glue(d, leaf(target))
     report = check(d, KS_PLUS)
-    if not report.ok or any(r == "acd" for r in _rules_of(d)):
+    if not report.ok or ACD in rule_census(d):
         raise AssertionError("phi_st left the contraction-free fragment")
     return d
 
@@ -650,18 +653,6 @@ def _variant_disjuncts(n, variant):
     if variant == "F":
         return _php_functional(n) + _php_rows(n) + _php_collisions(n)
     return _php_onto(n) + _php_rows(n) + _php_collisions(n)
-
-
-def _present(x, present):
-    from .formula import eq_mod
-
-    return any(eq_mod(x, p) for p in present)
-
-
-def _rules_of(d):
-    from .derivation import rule_census
-
-    return rule_census(d)
 
 
 def php_ksplus(n: int, variant: str, cap: int = 3) -> Derivation:

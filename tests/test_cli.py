@@ -70,6 +70,18 @@ def test_metrics_command(tmp_path, capsys):
     assert main(["metrics", str(empty), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["metrics"]["edges"] == 0 and report["metrics"]["open_ai_paths"] == "0"
+    # an identity whose two out-edges enter one cut has unboundedly many ai-paths
+    loop = tmp_path / "loop.flow.json"
+    loop.write_text(
+        '{"nodes": [{"id": 0, "kind": "aid"}, {"id": 1, "kind": "aiu"}], "edges": ['
+        '{"id": 2, "from": [0, 0], "to": [1, 0]}, {"id": 3, "from": [0, 1], "to": [1, 1]}]}'
+    )
+    assert main(["metrics", str(loop)]) == 1
+    assert "FAIL metrics: ai-path state graph is cyclic" in capsys.readouterr().out
+    dup = tmp_path / "dup.flow.json"
+    dup.write_text('{"nodes": [{"id": 0, "kind": "aid"}, {"id": 0, "kind": "aid"}], "edges": []}')
+    assert main(["metrics", str(dup)]) == 2
+    assert "duplicate node id 0" in capsys.readouterr().err
 
 
 def test_translate_command(tmp_path, capsys):
@@ -82,6 +94,32 @@ def test_translate_command(tmp_path, capsys):
     bad = tmp_path / "bad.res"
     bad.write_text("p res set\nr 0 = res 1 2 on a\n")
     assert main(["translate", str(bad), "--out", str(tmp_path / "no.sksd")]) == 2
+
+
+# a tree-like refutation whose KS+ image has a contraction loop: the axiom
+# clause x1 x3 is used on two branches and both copies of ~x1 merge later
+LOOPING_REFUTATION = """p res set tree
+a 0: x1 x2
+a 1: x1 ~x2
+r 2 = res 0 1 on x2
+a 3: ~x1 x3
+a 4: x2 ~x3
+r 5 = res 3 4 on x3
+a 6: ~x1 x3
+a 7: ~x2 ~x3
+r 8 = res 6 7 on x3
+r 9 = res 5 8 on x2
+r 10 = res 2 9 on x1
+"""
+
+
+def test_translate_refuses_a_looping_image(tmp_path, capsys):
+    res = tmp_path / "loop.res"
+    res.write_text(LOOPING_REFUTATION)
+    out = tmp_path / "loop.sksd"
+    assert main(["translate", str(res), "--out", str(out)]) == 1
+    assert "FAIL translate: tree-like image has contraction loops: [(" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_tt_and_gen_php(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -91,6 +92,14 @@ def test_validate_errors():
     assert any(code == "cycle-found" for code, _ in validate(cyc).errors)
 
 
+def test_validate_reports_dangling_ports_and_unknown_kinds():
+    # an identity with one edge to a node that does not exist
+    dangling = AtomicFlow({0: AID}, {1: ((0, 0), (7, 0))})
+    assert "dangling-port" in [code for code, _ in validate(dangling).errors]
+    unknown = AtomicFlow({0: "zzz", 1: AWD}, {2: ((1, 0), (0, 0))})
+    assert [code for code, _ in validate(unknown).errors] == ["unknown-kind"]
+
+
 def test_iso_examples():
     f = extract(demo_proof()).flow
     assert iso(f, f)
@@ -143,6 +152,27 @@ def test_json_round_trip():
     f = extract(demo_proof()).flow
     g = from_json(to_json(f))
     assert g.nodes == f.nodes and g.edges == f.edges
+
+
+def test_from_json_rejects_malformed_flows():
+    def text(nodes, edges):
+        return json.dumps(
+            {
+                "nodes": [{"id": i, "kind": k} for i, k in nodes],
+                "edges": [{"id": i, "from": s, "to": t} for i, s, t in edges],
+            }
+        )
+
+    with pytest.raises(ValueError, match="unknown-kind"):
+        from_json(text([(0, "zzz")], []))
+    with pytest.raises(ValueError, match="dangling-port"):
+        from_json(text([(0, AWD)], [(1, [0, 0], [7, 0])]))
+    with pytest.raises(ValueError, match="duplicate node id 0"):
+        from_json(text([(0, AWD), (0, AWU)], [(1, [0, 0], [0, 0])]))
+    with pytest.raises(ValueError, match="duplicate edge id 2"):
+        from_json(text([(0, AWD), (1, AWU)], [(2, [0, 0], [1, 0]), (2, [0, 0], [1, 0])]))
+    with pytest.raises(ValueError, match="malformed"):
+        from_json('{"nodes": []}')
 
 
 def test_dualize_flips_flow():

@@ -1,7 +1,7 @@
 import pytest
 
 from corpus import ks_plus_proof_flows, small_flows
-from deepflow.derivation import ACU, AID
+from deepflow.derivation import ACU, AID, AIU
 from deepflow.families import (
     contraction_loop_flow,
     cubic_flow,
@@ -15,6 +15,7 @@ from deepflow.flow import AtomicFlow, FlowBuilder, extract
 from deepflow.formula import top
 from deepflow.metrics import (
     CapExceeded,
+    PathCountDivergence,
     contraction_loops,
     dimensions,
     edge_weight,
@@ -86,6 +87,21 @@ def test_dimensions_examples():
     lc2 = dimensions(cubic_flow(2))[0]
     lc3 = dimensions(cubic_flow(3))[0]
     assert dimensions(cubic_flow(4))[0] == lc3 + (lc3 - lc2)
+
+
+def test_cyclic_ai_path_graph_diverges():
+    # an identity whose two out-edges both enter one cut: a valid flow whose
+    # ai-paths run round the loop for ever
+    fb = FlowBuilder()
+    i = fb.node(AID)
+    c = fb.node(AIU)
+    fb.edge((i, 0), (c, 0))
+    fb.edge((i, 1), (c, 1))
+    f = fb.build()
+    with pytest.raises(PathCountDivergence):
+        open_ai_paths(f)
+    with pytest.raises(PathCountDivergence):
+        dimensions(f)
 
 
 def test_contraction_loops_example():
