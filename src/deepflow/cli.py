@@ -57,8 +57,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str, report):
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", 2)
     report["outputs"].append({"path": path, "sha256": _digest(text.encode())})
 
 
@@ -237,11 +240,11 @@ def cmd_gen_php(args, report):
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise CliError(f"bad range {text!r}: expected N or LO..HI", 2)
 
 
 CSV_HEADER = "family,param,input_size,output_size,steps_wk,steps_cont,open_ai_paths,millis"

@@ -14,6 +14,7 @@ derivation step each node came from.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .derivation import (
@@ -419,143 +420,118 @@ def flip_dual(flow: AtomicFlow) -> AtomicFlow:
 
 # -- isomorphism -----------------------------------------------------------------
 
-PENDING_TOP = "pending-top"
-PENDING_BOTTOM = "pending-bottom"
 
+def canonical_key(flow: AtomicFlow):
+    """A hashable key that two flows share exactly when they are isomorphic.
 
-class IsoCapExceeded(ValueError):
-    pass
-
-
-def _signatures(flow: AtomicFlow, rounds=None):
-    """Iterated neighbourhood refinement colors, per node."""
-    color = {n: (k,) for n, k in flow.nodes.items()}
-    if rounds is None:
-        rounds = max(4, len(flow.nodes))
-    for _ in range(rounds):
-        nxt = {}
-        for n in flow.nodes:
-            up = []
-            down = []
-            for e in flow.in_edges(n):
-                s = flow.edges[e][0]
-                up.append(color[s[0]] if s is not None else PENDING_TOP)
-            for e in flow.out_edges(n):
-                t = flow.edges[e][1]
-                down.append(color[t[0]] if t is not None else PENDING_BOTTOM)
-            nxt[n] = (color[n], tuple(sorted(up, key=repr)), tuple(sorted(down, key=repr)))
-        # compress canonically: rank signatures by their sorted order so that
-        # isomorphic flows with different node numbering get matching colors
-        ranks = {sig: i for i, sig in enumerate(sorted(set(nxt.values()), key=repr))}
-        comp = {n: (ranks[nxt[n]], flow.nodes[n]) for n in nxt}
-        if len(set(comp.values())) == len(set(color.values())):
-            color = comp
-            break
-        color = comp
-    return color
-
-
-def _edge_profile(flow: AtomicFlow):
-    """Multiset of (src kind/pending, tgt kind/pending) over edges."""
-    prof = {}
-    for e, (s, t) in flow.edges.items():
-        key = (
-            flow.nodes[s[0]] if s is not None else PENDING_TOP,
-            flow.nodes[t[0]] if t is not None else PENDING_BOTTOM,
-        )
-        prof[key] = prof.get(key, 0) + 1
-    return prof
-
-
-def flow_fingerprint(flow: AtomicFlow):
-    """Iso-invariant hash key; equal fingerprints still need an iso check."""
-    colors = _signatures(flow)
-    census = sorted(colors.values(), key=repr)
-    prof = tuple(sorted(_edge_profile(flow).items()))
-    return (len(flow.nodes), len(flow.edges), tuple(repr(c) for c in census), prof)
-
-
-def iso(f1: AtomicFlow, f2: AtomicFlow, cap: int = 40) -> bool:
-    """Kind- and attachment-preserving graph isomorphism.
-
-    The two in-ports of contractions (and cut) and the two out-ports of
-    cocontractions (and identity) are treated as unordered, which reduces the
-    question to a labeled multigraph isomorphism including pending stubs.
+    Isomorphism preserves node kinds and edge attachment, with the two
+    in-ports of contractions (and cut) and the two out-ports of
+    cocontractions (and identity) unordered; pending ends are kept.  The key
+    is the number of edges pending at both ends plus the sorted certificates
+    of the connected components.
     """
-    if len(f1.nodes) != len(f2.nodes) or len(f1.edges) != len(f2.edges):
-        return False
-    if max(len(f1.nodes), len(f2.nodes)) > cap:
-        raise IsoCapExceeded(f"iso cap {cap} exceeded")
-    if f1.kind_census() != f2.kind_census():
-        return False
-    if _edge_profile(f1) != _edge_profile(f2):
-        return False
+    up = {n: [] for n in flow.nodes}  # the node above each in-edge, None if pending
+    down = {n: [] for n in flow.nodes}
+    free = 0
+    for s, t in flow.edges.values():
+        if s is None and t is None:
+            free += 1
+        if s is not None:
+            down[s[0]].append(None if t is None else t[0])
+        if t is not None:
+            up[t[0]].append(None if s is None else s[0])
+    seen = set()
+    certs = []
+    for root in flow.nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for n in comp:
+            for m in up[n] + down[n]:
+                if m is not None and m not in seen:
+                    seen.add(m)
+                    comp.append(m)
+        certs.append(_certificate(comp, flow.nodes, up, down))
+    return free, tuple(sorted(certs))
 
-    c1 = _signatures(f1)
-    c2 = _signatures(f2)
-    hist1 = {}
-    hist2 = {}
-    for n, c in c1.items():
-        hist1[c] = hist1.get(c, 0) + 1
-    for n, c in c2.items():
-        hist2[c] = hist2.get(c, 0) + 1
-    if hist1 != hist2:
-        return False
 
-    def adjacency(flow):
-        adj = {}
-        for e, (s, t) in flow.edges.items():
-            ks = s[0] if s is not None else PENDING_TOP
-            kt = t[0] if t is not None else PENDING_BOTTOM
-            adj.setdefault(ks, {}).setdefault(kt, 0)
-            adj[ks][kt] += 1
-        return adj
+def _certificate(comp, kinds, up, down):
+    """Canonical form of one connected component by individualisation and
+    refinement (McKay and Piperno, Practical graph isomorphism II, 2014).
 
-    a1 = adjacency(f1)
-    a2 = adjacency(f2)
-    nodes1 = sorted(f1.nodes, key=lambda n: (hist1[c1[n]], repr(c1[n]), n))
-    mapping = {}
-    used = set()
+    A colouring maps each node to the start position of its cell in an
+    ordered partition, and None, the far end of a pending edge, to -1.  The
+    certificate is the sorted kinds plus the least sorted arc list, by
+    position, over the leaves of the search tree.
+    """
+    arcs = [(n, m) for n in comp for m in down[n]] + [(None, n) for n in comp for m in up[n] if m is None]
+    order = sorted(kinds[n] for n in comp)
+    start = {kind: order.index(kind) for kind in set(order)}
 
-    def compatible(n, m):
-        if c1[n] != c2[m]:
-            return False
-        # every already-mapped neighbour relation must match in multiplicity
-        row1 = a1.get(n, {})
-        row2 = a2.get(m, {})
-        if row1.get(PENDING_BOTTOM, 0) != row2.get(PENDING_BOTTOM, 0):
-            return False
-        if a1.get(PENDING_TOP, {}).get(n, 0) != a2.get(PENDING_TOP, {}).get(m, 0):
-            return False
-        for x, cnt in row1.items():
-            if x == PENDING_BOTTOM:
-                continue
-            if x in mapping and row2.get(mapping[x], 0) != cnt:
-                return False
-        for x, mx in mapping.items():
-            if a1.get(x, {}).get(n, 0) != a2.get(mx, {}).get(m, 0):
-                return False
-        return True
+    def refine(col):
+        """The coarsest equitable refinement of col, which splits cells in
+        place, and the members of its first non-singleton cell."""
+        while True:
+            size = Counter(col.values())
+            live = [v for v in comp if size[col[v]] > 1]
+            if not live:
+                return col, []
+            sig = {v: (col[v], sorted([col[u] for u in up[v]]), sorted([col[d] for d in down[v]])) for v in live}
+            live.sort(key=sig.__getitem__)
+            new = dict(col)
+            cell_start = {}  # index in live of the first member of each cell
+            for j, v in enumerate(live):
+                cell_start.setdefault(col[v], j)
+                if j == 0 or sig[v] != sig[live[j - 1]]:
+                    colour = col[v] + j - cell_start[col[v]]
+                new[v] = colour
+            if new == col:
+                return col, [v for v in live if col[v] == col[live[0]]]
+            col = new
 
-    def backtrack(i):
-        if i == len(nodes1):
-            return True
-        n = nodes1[i]
-        for m in sorted(f2.nodes):
-            if m in used or not compatible(n, m):
-                continue
-            mapping[n] = m
-            used.add(m)
-            if backtrack(i + 1):
-                return True
-            del mapping[n]
-            used.discard(m)
-        return False
+    def individualise(col, v):
+        new = {u: c + 1 if c == col[v] else c for u, c in col.items()}
+        new[v] = col[v]
+        return new
 
-    return backtrack(0)
+    def leaf(col):
+        return tuple(sorted((col[n], col[m]) for n, m in arcs))
+
+    def first_leaf(col):
+        col, cell = refine(col)
+        while cell:
+            col, cell = refine(individualise(col, cell[0]))
+        return leaf(col)
+
+    def leaves(col):
+        """The certificates of the leaves below col.  A child whose first
+        leaf is already known is pruned: an automorphism fixing the prefix
+        maps it onto an explored sibling, so its subtree repeats theirs."""
+        col, cell = refine(col)
+        if not cell:
+            return {leaf(col)}
+        found = set()
+        for v in cell:
+            child = individualise(col, v)
+            if not found or first_leaf(child) not in found:
+                found |= leaves(child)
+        return found
+
+    col = {n: start[kinds[n]] for n in comp}
+    col[None] = -1
+    return tuple(order), min(leaves(col))
+
+
+def iso(f1: AtomicFlow, f2: AtomicFlow) -> bool:
+    """Kind- and attachment-preserving graph isomorphism; see canonical_key."""
+    return canonical_key(f1) == canonical_key(f2)
 
 
 # -- export ----------------------------------------------------------------------
+
+PENDING_TOP = "pending-top"
+PENDING_BOTTOM = "pending-bottom"
 
 _DOT_SHAPE = {
     AID: "invtriangle",

@@ -62,13 +62,7 @@ class Formula:
             return False
         if self.kind in (TOP, BOT):
             return True
-        if self.kind == LIT:
-            return self.a == other.a and self.b == other.b
         return self.a == other.a and self.b == other.b
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
 
 top = Formula(TOP)

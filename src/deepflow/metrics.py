@@ -76,11 +76,13 @@ def _state_graph(flow: AtomicFlow):
     return succ, endnode
 
 
-def _topo_states(succ):
+def _ordered_states(flow: AtomicFlow):
+    """The state graph of a valid flow and a topological order of its states."""
+    succ, endnode = _state_graph(flow)
     order = topo_sort(succ)
     if order is None:
         raise PathCountDivergence("ai-path state graph is cyclic")
-    return order
+    return succ, endnode, order
 
 
 def open_ai_paths(flow: AtomicFlow) -> int:
@@ -90,10 +92,11 @@ def open_ai_paths(flow: AtomicFlow) -> int:
     is half the sum over pending ends of the continuation counts.
     """
     require_valid(flow)
-    if not flow.edges:
-        return 0
-    succ, endnode = _state_graph(flow)
-    order = _topo_states(succ)
+    return _open_ai_paths(flow, _ordered_states(flow))
+
+
+def _open_ai_paths(flow, states):
+    succ, endnode, order = states
     count = {}
     for s in reversed(order):
         if endnode[s] is None:
@@ -213,6 +216,10 @@ def dimensions(flow: AtomicFlow):
     node convention.  Breadth counts connected components.
     """
     require_valid(flow)
+    return _dimensions(flow, _ordered_states(flow))
+
+
+def _dimensions(flow, states):
     if not flow.nodes and not flow.edges:
         return 0, 0, 0
 
@@ -244,8 +251,7 @@ def dimensions(flow: AtomicFlow):
     width = max(sizes.values(), default=0) + 1
 
     # length: max kind changes along any ai-path
-    succ, endnode = _state_graph(flow)
-    order = _topo_states(succ)
+    succ, endnode, order = states
     best = {}
     for s in reversed(order):
         n = endnode[s]
@@ -281,6 +287,10 @@ def contraction_loops(flow: AtomicFlow):
     """All (cocontraction, contraction) pairs joined by two edge-disjoint
     directed paths, found by unit-capacity max flow."""
     require_valid(flow)
+    return _contraction_loops(flow)
+
+
+def _contraction_loops(flow):
     ups = sorted(n for n, k in flow.nodes.items() if k == ACU)
     downs = sorted(n for n, k in flow.nodes.items() if k == ACD)
     if not ups or not downs:
@@ -355,7 +365,9 @@ def contraction_loops(flow: AtomicFlow):
 
 def metrics_record(flow: AtomicFlow) -> dict:
     """The JSON-facing metrics summary of a flow."""
-    length, width, breadth = dimensions(flow)
+    require_valid(flow)
+    states = _ordered_states(flow)
+    length, width, breadth = _dimensions(flow, states)
     census = flow.kind_census()
     return {
         "edges": len(flow.edges),
@@ -363,6 +375,6 @@ def metrics_record(flow: AtomicFlow) -> dict:
         "length": length,
         "width": width,
         "breadth": breadth,
-        "open_ai_paths": str(open_ai_paths(flow)),
-        "contraction_loops": [[u, v] for u, v in contraction_loops(flow)],
+        "open_ai_paths": str(_open_ai_paths(flow, states)),
+        "contraction_loops": [[u, v] for u, v in _contraction_loops(flow)],
     }

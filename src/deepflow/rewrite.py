@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .derivation import ACD, ACU, AID, AWD, AWU
-from .flow import AtomicFlow, flow_fingerprint, iso, require_valid, topo_sort
+from .flow import AtomicFlow, canonical_key, require_valid, topo_sort
 
 WD_CD, ID_WU, CU_WU, WD_CU, WD_WU, CD_WU, CD_CU, ID_CU = (
     "wd-cd",
@@ -483,38 +483,29 @@ class ExplorationCapExceeded(RuntimeError):
 
 
 def explore_reductions(flow: AtomicFlow, cap: int = 20000):
-    """Exhaustive set of all normal forms reachable from flow, up to iso.
+    """Exhaustive set of all normal forms reachable from flow, up to iso,
+    each represented by the first flow found depth-first.
 
     Confluence predicts a singleton; the cap bounds the number of distinct
     states explored.
     """
     require_valid(flow)
-
-    def seen_before(buckets, f):
-        key = flow_fingerprint(f)
-        bucket = buckets.setdefault(key, [])
-        for g in bucket:
-            if iso(f, g, cap=max(64, len(f.nodes) + 1)):
-                return True
-        bucket.append(f)
-        return False
-
-    visited = {}
+    key = canonical_key(flow)
+    visited = {key}
     normals = {}
-    queue = [flow]
-    seen_before(visited, flow)
-    states = 1
+    queue = [(flow, key)]
     while queue:
-        current = queue.pop()
-        redexes = find_redexes(current)
+        current, key = queue.pop()
+        redexes = scan_redexes(current)  # apply_redex keeps every state valid
         if not redexes:
-            seen_before(normals, current)
+            normals.setdefault(key, current)
             continue
         for r in redexes:
             nxt = apply_redex(current, r)
-            if not seen_before(visited, nxt):
-                states += 1
-                if states > cap:
+            key = canonical_key(nxt)
+            if key not in visited:
+                visited.add(key)
+                if len(visited) > cap:
                     raise ExplorationCapExceeded(f"more than {cap} states")
-                queue.append(nxt)
-    return [g for bucket in normals.values() for g in bucket]
+                queue.append((nxt, key))
+    return list(normals.values())

@@ -2,7 +2,7 @@
 
 import random
 
-from deepflow.derivation import dualize
+from deepflow.derivation import ACD, ACU, dualize
 from deepflow.families import (
     contraction_loop_flow,
     critical_pair_flows,
@@ -14,7 +14,7 @@ from deepflow.families import (
     random_ks_plus_proof,
     tower_flow,
 )
-from deepflow.flow import extract
+from deepflow.flow import FlowBuilder, extract
 
 
 def ks_plus_proof_flows(count, max_edges=20, seed=11, steps=7):
@@ -58,3 +58,35 @@ def small_flows(seed=5):
     flows.extend(critical_pair_flows())
     flows.extend(f for _, f in ks_plus_proof_flows(30, max_edges=20, seed=seed))
     return [f for f in flows if f.n_edges <= 25]
+
+
+def ring_layers(*layers):
+    """Layers of rings, each layer a tuple of ring sizes with one total k.
+
+    A ring of size m has m cocontractions and m contractions; cocontraction
+    i feeds contractions i and i + 1 (mod m).  Contraction j of one layer
+    feeds cocontraction j of the next; the first layer hangs from pending
+    top ends and the last ends in pending bottom ends.  Colour refinement
+    gives every flow with the same number of layers and the same k the same
+    colours, so ring_layers((2 * m,)) and ring_layers((m, m)) differ in the
+    number of components only, and ring_layers((2 * m,), (2 * m,)) and
+    ring_layers((m, m), (2 * m,)) are connected.
+    """
+    fb = FlowBuilder()
+    above = None
+    for sizes in layers:
+        ups, downs = [], []
+        for m in sizes:
+            u = [fb.node(ACU) for _ in range(m)]
+            d = [fb.node(ACD) for _ in range(m)]
+            for i in range(m):
+                fb.edge((u[i], 0), (d[i], 0))
+                fb.edge((u[i], 1), (d[(i + 1) % m], 1))
+            ups += u
+            downs += d
+        for j, n in enumerate(ups):
+            fb.edge(None if above is None else (above[j], 0), (n, 0))
+        above = downs
+    for n in above:
+        fb.edge((n, 0), None)
+    return fb.build()

@@ -143,3 +143,15 @@ def test_bench_tower(tmp_path, capsys):
         n = int(row[1])
         assert int(row[4]) <= 3 * n + 3  # wk-first stays linear
         assert int(row[5]) >= 2**n - 1  # cont-first blows up
+
+
+def test_bad_bench_range_is_a_usage_error(capsys):
+    assert main(["bench", "tower", "3..x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad range '3..x'") and "Traceback" not in err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.sksd"
+    assert main(["tt", "(a|~a)", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")

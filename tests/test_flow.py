@@ -15,11 +15,13 @@ from deepflow.derivation import (
     size,
     step,
 )
+from corpus import ring_layers
 from deepflow.families import demo_proof, random_derivation, random_ks_plus_proof
 from deepflow.flow import (
+    ARITY,
     AtomicFlow,
     FlowBuilder,
-    IsoCapExceeded,
+    canonical_key,
     extract,
     flip_dual,
     from_json,
@@ -126,15 +128,68 @@ def test_iso_examples():
     assert not iso(fb3.build(), fb4.build())
 
 
-def test_iso_cap():
+def test_iso_decides_large_flows():
     fb = FlowBuilder()
     for _ in range(45):
         w = fb.node(AWD)
         fb.edge((w, 0), None)
     big = fb.build()
-    with pytest.raises(IsoCapExceeded):
-        iso(big, big)
-    assert iso(big, big, cap=100)
+    assert iso(big, big)
+    fb.edge(None, (fb.node(AWU), 0))
+    assert not iso(big, fb.build())
+
+
+def test_iso_tells_one_ring_from_two():
+    # every node of both flows has the same refinement colour
+    for k in (6, 24):
+        one, two = ring_layers((k,)), ring_layers((k // 2, k // 2))
+        assert iso(one, ring_layers((k,))) and iso(two, ring_layers((k // 2, k // 2)))
+        assert not iso(one, two)
+    assert not iso(ring_layers((12,)), ring_layers((4, 8)))
+    # connected, so the components cannot tell them apart either
+    for k in (6, 12):
+        assert not iso(ring_layers((k,), (k,)), ring_layers((k // 2, k // 2), (k,)))
+        assert iso(ring_layers((k // 2, k // 2), (k,)), ring_layers((k // 2, k // 2), (k,)))
+
+
+def renumbered(f, rng):
+    """f with fresh node and edge ids, shuffled dict order and a random half
+    of the unordered port pairs swapped."""
+    ids = rng.sample(range(10 * (len(f.nodes) + len(f.edges))), len(f.nodes) + len(f.edges))
+    node_id = dict(zip(f.nodes, ids))
+    edge_id = dict(zip(f.edges, ids[len(f.nodes) :]))
+    swapped = {n for n in f.nodes if rng.random() < 0.5}
+
+    def end(x, side):
+        if x is None:
+            return None
+        n, port = x
+        if ARITY[f.nodes[n]][side] == 2 and n in swapped:
+            port = 1 - port
+        return node_id[n], port
+
+    nodes = [(node_id[n], k) for n, k in f.nodes.items()]
+    edges = [(edge_id[e], (end(s, 1), end(t, 0))) for e, (s, t) in f.edges.items()]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    g = AtomicFlow(nodes, edges)
+    assert validate(g).ok and g.edges != f.edges
+    return g
+
+
+def test_canonical_key_ignores_ids_and_unordered_ports():
+    from deepflow.rewrite import normalize
+    from deepflow.simulations import php_ksplus
+
+    php = normalize(extract(php_ksplus(2, "F"), assume_checked=True).flow, measures=False)[0]
+    # refinement leaves cells that mix the two top rings, so the search
+    # must not depend on which member it individualises first
+    rings = ring_layers((2, 4), (6,))
+    rng = random.Random(3)
+    for f in (php, rings, rings, rings, rings):
+        g = renumbered(f, rng)
+        assert canonical_key(g) == canonical_key(f)
+        assert hash(canonical_key(g)) == hash(canonical_key(f))
 
 
 def test_to_dot():
@@ -183,7 +238,7 @@ def test_dualize_flips_flow():
         d = random_derivation(rng, steps=7)
         f = extract(d).flow
         g = extract(dualize(d)).flow
-        assert iso(g, flip_dual(f), cap=80)
+        assert iso(g, flip_dual(f))
 
 
 def test_proof_flows_have_no_pending_top():
