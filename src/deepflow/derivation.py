@@ -102,10 +102,13 @@ def step(rule: str, upper: Derivation, lower: Derivation) -> Derivation:
     return Derivation(STEP, rule=rule, a=upper, b=lower)
 
 
-def bottom_up(d: Derivation, f):
-    """Evaluate f(node, aval, bval) bottom-up over the derivation DAG."""
-    vals = {}
-    keep = []  # prevent id reuse while computing
+def bottom_up(d: Derivation, f, cached=None):
+    """Evaluate f(node, aval, bval) bottom-up over the derivation DAG.
+
+    When ``cached(node)`` is not None it is taken as the node's value, and the
+    walk does not descend below that node.
+    """
+    vals = {}  # id(node) -> value; every node stays reachable from d
     stack = [d]
     while stack:
         node = stack[-1]
@@ -113,9 +116,14 @@ def bottom_up(d: Derivation, f):
         if ni in vals:
             stack.pop()
             continue
+        if cached is not None:
+            v = cached(node)
+            if v is not None:
+                vals[ni] = v
+                stack.pop()
+                continue
         if node.kind == LEAF:
             vals[ni] = f(node, None, None)
-            keep.append(node)
             stack.pop()
             continue
         va = vals.get(id(node.a))
@@ -127,7 +135,6 @@ def bottom_up(d: Derivation, f):
             stack.append(node.b)
             continue
         vals[ni] = f(node, vals[id(node.a)], vals[id(node.b)])
-        keep.append(node)
         stack.pop()
     return vals[id(d)]
 
@@ -138,8 +145,6 @@ def endpoints(d: Derivation):
         return d._pr, d._cn
 
     def f(node, va, vb):
-        if node._pr is not None:
-            return node._pr, node._cn
         if node.kind == LEAF:
             pr = cn = node.a
         elif node.kind == COMP:
@@ -151,7 +156,7 @@ def endpoints(d: Derivation):
         node._pr, node._cn = pr, cn
         return pr, cn
 
-    return bottom_up(d, f)
+    return bottom_up(d, f, lambda n: None if n._pr is None else (n._pr, n._cn))
 
 
 def premiss(d: Derivation) -> Formula:
@@ -172,13 +177,11 @@ def size(d: Derivation) -> int:
         return d._size
 
     def f(node, va, vb):
-        if node._size is not None:
-            return node._size
         n = n_occurrences(node.a) if node.kind == LEAF else va + vb
         node._size = n
         return n
 
-    return bottom_up(d, f)
+    return bottom_up(d, f, lambda n: n._size)
 
 
 def step_count(d: Derivation) -> int:

@@ -110,10 +110,6 @@ class AtomicFlow:
         return f"AtomicFlow(nodes={len(self.nodes)}, edges={len(self.edges)})"
 
 
-def empty_flow() -> AtomicFlow:
-    return AtomicFlow({}, {})
-
-
 class FlowBuilder:
     """Convenience constructor for hand-built flows in tests and families."""
 

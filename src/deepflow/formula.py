@@ -254,7 +254,6 @@ def canonicalize(f: Formula) -> Formula:
     c = f._canon
     if c is None:
         c = _canon_with_map(f)[0]
-        f._canon = c
     return c
 
 
@@ -272,18 +271,22 @@ def canonical_occurrence_map(f: Formula):
     """
     m = f._cmap
     if m is None:
-        c, m = _canon_with_map(f)
-        f._canon = c
-        f._cmap = m
+        m = _canon_with_map(f)[1]
     return m
 
 
 def _canon_with_map(f: Formula):
-    """Return (canonical form, tuple mapping original occ index -> canon occ index)."""
+    """Return (canonical form, tuple mapping original occ index -> canon occ index).
+
+    Both are stored in f's ``_canon``/``_cmap`` cache; this is the one place
+    that cache is filled.
+    """
     k = f.kind
     if k in (TOP, BOT):
+        f._canon, f._cmap = f, ()
         return f, ()
     if k == LIT:
+        f._canon, f._cmap = f, (0,)
         return f, (0,)
     # children of the same connective, flattened, each with its own map
     parts = []  # (canonical child, original occurrence indexes in order)
@@ -296,7 +299,11 @@ def _canon_with_map(f: Formula):
             return
         base = counter[0]
         counter[0] += n_occurrences(g)
-        c, m = _canon_with_map(g)
+        m = g._cmap
+        if m is None:
+            c, m = _canon_with_map(g)
+        else:
+            c = g._canon
         if c.kind == k:
             # child canonicalized into the same connective: flatten its spine
             spine = []
@@ -324,6 +331,7 @@ def _canon_with_map(f: Formula):
     if keepers:
         kept = [p for p in kept if p[0].kind != unit_keep.kind] + keepers[:1]
     if not kept:
+        f._canon, f._cmap = unit_drop, ()
         return unit_drop, ()
     kept.sort(key=lambda p: fprint(p[0]))
     canon = _rnest(k, [p[0] for p in kept])
@@ -333,7 +341,9 @@ def _canon_with_map(f: Formula):
         for orig, within in pairs:
             mapping[orig] = off + within
         off += n_occurrences(c)
-    return canon, tuple(mapping)
+    mapping = tuple(mapping)
+    f._canon, f._cmap = canon, mapping
+    return canon, mapping
 
 
 def _spine(f, kind, out):

@@ -302,7 +302,6 @@ def normalize_proof(d: Derivation, with_report: bool = False):
     current = d
     ext = ext0
     wk_steps = cont_steps = passes = 0
-    careful = size(d) <= 20000
     for sub in (WK, CONT):
         while True:
             redexes = scan_redexes(ext.flow, sub)
@@ -320,8 +319,7 @@ def normalize_proof(d: Derivation, with_report: bool = False):
                 used.add(r.tgt)
                 applied += 1
             current = _rebuild(current, trie)
-            if careful:
-                ensure_checked(current, SKS)
+            ensure_checked(current, SKS)
             if sub is WK:
                 wk_steps += applied
             else:

@@ -18,6 +18,7 @@ from deepflow.derivation import (
     ACU,
     AID,
     KS,
+    KS_PLUS,
     SKS,
     check,
     conclusion,
@@ -263,7 +264,17 @@ def test_criterion_7_end_to_end_simulations():
     )
 
 
-def test_criterion_8_php_pipeline():
+def test_criterion_8_php_pipeline(monkeypatch):
+    import deepflow.lift as lift
+
+    checked = []
+    real = lift.ensure_checked
+
+    def counting(d, system):
+        checked.append(system)
+        return real(d, system)
+
+    monkeypatch.setattr(lift, "ensure_checked", counting)
     t0 = time.time()
     sizes = {}
     lengths = []
@@ -271,7 +282,10 @@ def test_criterion_8_php_pipeline():
         for v in ("F", "O"):
             p = php_ksplus(n, v)
             lengths.append(dimensions(extract(p, assume_checked=True).flow)[0])
-            ks = normalize_proof(p)
+            checked.clear()
+            ks, report = normalize_proof(p, with_report=True)
+            # the input, every pass at every size (n = 3 is above 20000 atoms), the result
+            assert checked == [KS_PLUS] + [SKS] * report.passes + [KS]
             assert check(ks, KS).ok and is_proof(ks)
             assert conclusion(ks) == php_formula(n, v)
             sizes[(n, v)] = (size(p), size(ks))

@@ -43,6 +43,8 @@ from deepflow.derivation import (
 )
 from deepflow.families import demo_proof, random_derivation, random_ks_plus_proof
 from deepflow.formula import (
+    AND,
+    OR,
     bot,
     conj,
     disj,
@@ -168,6 +170,42 @@ def test_size_examples():
     assert size(leaf(conj(a, neg(b)))) == 2
     assert size(step(AID, leaf(top), leaf(disj(a, ab)))) == 2
     assert size(demo_proof()) == 36
+
+
+def _leaves(n, var):
+    """A balanced composition of n distinct leaves, so nothing is shared."""
+    ds = [leaf(lit(f"{var}{i}")) for i in range(n)]
+    while len(ds) > 1:
+        ds = [compose(AND, x, y) for x, y in zip(ds[::2], ds[1::2])] + ds[len(ds) - len(ds) % 2 :]
+    return ds[0]
+
+
+def test_cached_walks_stop_at_evaluated_subtrees(monkeypatch):
+    from deepflow import derivation
+
+    evaluated = []
+    walk = derivation.bottom_up
+
+    def counting(d, f, *rest):
+        def g(node, va, vb):
+            evaluated.append(node)
+            return f(node, va, vb)
+
+        return walk(d, g, *rest)
+
+    monkeypatch.setattr(derivation, "bottom_up", counting)
+    for n in (16, 1024):
+        x, y = _leaves(n, "p"), _leaves(n, "q")
+        for d in (x, y):
+            endpoints(d)
+            size(d)
+        for root in (compose(OR, x, y), step(S, x, y)):
+            evaluated.clear()
+            pr, cn = endpoints(root)
+            assert size(root) == 2 * n
+            # one evaluation each for endpoints and size, whatever n is
+            assert evaluated == [root, root]
+        assert (pr, cn) == (conclusion(x), conclusion(y))
 
 
 def test_step_count_separate_from_size():

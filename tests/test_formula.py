@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deepflow.formula import (
+    AND,
+    OR,
     FormulaSyntaxError,
     UndefinedVariableError,
     bot,
@@ -138,3 +140,34 @@ def test_dual_flips_semantics(f):
 def test_occurrence_map_is_bijective(f):
     m = canonical_occurrence_map(f)
     assert sorted(m) == list(range(len(m)))
+
+
+@given(formulas, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_warm_subformula_caches_give_cold_results(f, rnd):
+    subs = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        subs.append(g)
+        if g.kind in (AND, OR):
+            stack += [g.a, g.b]
+    rnd.shuffle(subs)
+    for g in subs[: rnd.randint(0, len(subs))]:
+        rnd.choice((canonicalize, canonical_occurrence_map))(g)
+    cold = fparse(fprint(f))
+    assert canonical_occurrence_map(f) == canonical_occurrence_map(cold)
+    assert canonicalize(f) == canonicalize(cold)
+
+
+def test_canonicalize_deep_alternation():
+    # 6000 alternating levels, about three Python frames each
+    def deep():
+        f = lit("a")
+        for i in range(6000):
+            f = conj(top, f) if i % 2 else disj(bot, f)
+        return f
+
+    assert canonicalize(deep()) == lit("a")
+    assert canonical_occurrence_map(deep()) == (0,)
+
