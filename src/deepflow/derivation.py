@@ -614,8 +614,6 @@ def _subst_var(f: Formula, var: str, pos_repl: Formula, neg_repl: Formula) -> Fo
         return f
     a = _subst_var(f.a, var, pos_repl, neg_repl)
     b = _subst_var(f.b, var, pos_repl, neg_repl)
-    if a is f.a and b is f.b:
-        return f
     return Formula(f.kind, a, b)
 
 

@@ -103,9 +103,6 @@ class AtomicFlow:
             out[k] = out.get(k, 0) + 1
         return out
 
-    def copy(self):
-        return AtomicFlow(self.nodes, self.edges)
-
     def __repr__(self):
         return f"AtomicFlow(nodes={len(self.nodes)}, edges={len(self.edges)})"
 
@@ -223,14 +220,12 @@ def require_valid(flow: AtomicFlow):
 class Extraction:
     """Flow of a derivation plus the edge <-> occurrence bookkeeping."""
 
-    __slots__ = ("flow", "_segments", "_node_paths", "_premiss_edges", "_conclusion_edges")
+    __slots__ = ("flow", "_segments", "_node_paths")
 
-    def __init__(self, flow, segments, node_paths, premiss_edges, conclusion_edges):
+    def __init__(self, flow, segments, node_paths):
         self.flow = flow
         self._segments = segments
         self._node_paths = node_paths
-        self._premiss_edges = premiss_edges
-        self._conclusion_edges = conclusion_edges
 
     def segment(self, edge):
         """Occurrences on an edge as (derivation path, in-order occ index) pairs."""
@@ -238,15 +233,6 @@ class Extraction:
 
     def node_path(self, node):
         return _materialize(self._node_paths[node])
-
-    def premiss_edges(self):
-        return list(self._premiss_edges)
-
-    def conclusion_edges(self):
-        return list(self._conclusion_edges)
-
-    def occurrence_count(self):
-        return sum(len(s) for s in self._segments.values())
 
 
 def _materialize(pathnode):
@@ -385,10 +371,6 @@ def extract(d: Derivation, assume_checked: bool = False) -> Extraction:
                 outs[port] = f
         results.append((pa, cb))
 
-    prem_rope, conc_rope = results.pop()
-    prem = [find(e) for e in _flatten(prem_rope, [])]
-    conc = [find(e) for e in _flatten(conc_rope, [])]
-
     roots = [e for e in range(len(uf)) if uf[e] == e]
     remap = {e: i for i, e in enumerate(roots)}
     edges = {}
@@ -397,14 +379,7 @@ def extract(d: Derivation, assume_checked: bool = False) -> Extraction:
         i = remap[e]
         edges[i] = (src[e], tgt[e])
         segments[i] = seg[e]
-    flow = AtomicFlow(nodes, edges)
-    return Extraction(
-        flow,
-        segments,
-        node_paths,
-        [remap[e] for e in prem],
-        [remap[e] for e in conc],
-    )
+    return Extraction(AtomicFlow(nodes, edges), segments, node_paths)
 
 
 def flip_dual(flow: AtomicFlow) -> AtomicFlow:

@@ -1,12 +1,16 @@
 """Negation-normal-form propositional formulas and their equational theory.
 
 Formulas are built from the units T/F, literals, and binary conjunction /
-disjunction; negation exists only on literals.  Equality "modulo the unit,
-commutativity and associativity laws" is decided by reduction to a canonical
-form.
+disjunction; negation exists only on literals.  Nodes are interned, so two
+formulas are equal exactly when they are the same object, and every cache
+on a node is filled once per distinct subformula.  Equality "modulo the
+unit, commutativity and associativity laws" is decided by reduction to a
+canonical form.
 """
 
 from __future__ import annotations
+
+import weakref
 
 TOP = "top"
 BOT = "bot"
@@ -14,55 +18,38 @@ LIT = "lit"
 AND = "and"
 OR = "or"
 
-_KIND_ORDER = {TOP: 0, BOT: 1, LIT: 2, AND: 3, OR: 4}
+# (kind, a, b) -> the one live node with that structure; children are
+# interned themselves, so the key hashes and compares them by identity
+_table = weakref.WeakValueDictionary()
 
 
 class Formula:
-    """Immutable NNF formula node.
+    """Immutable, interned NNF formula node.
 
     kind is one of 'top', 'bot', 'lit', 'and', 'or'.  For literals, ``a`` is
     the variable name and ``b`` the negation flag; for connectives ``a`` and
-    ``b`` are the children.  Canonical form and print string are cached on
-    the instance.
+    ``b`` are the children.  Constructing a formula returns the existing
+    node of the same structure when there is one, so ``==`` is ``is``.  The
+    print string, canonical form, occurrence map and occurrence count are
+    cached on the node.
     """
 
-    __slots__ = ("kind", "a", "b", "_hash", "_s", "_canon", "_cmap", "_nocc")
+    __slots__ = ("kind", "a", "b", "_s", "_canon", "_cmap", "_nocc", "__weakref__")
 
-    def __init__(self, kind, a=None, b=None):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self._hash = None
-        self._s = None
-        self._canon = None
-        self._cmap = None
-        self._nocc = None
+    def __new__(cls, kind, a=None, b=None):
+        key = (kind, a, b)
+        f = _table.get(key)
+        if f is None:
+            f = object.__new__(cls)
+            f.kind = kind
+            f.a = a
+            f.b = b
+            f._s = f._canon = f._cmap = f._nocc = None
+            _table[key] = f
+        return f
 
     def __repr__(self):
         return f"Formula({fprint(self)!r})"
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            if self.kind == LIT:
-                h = hash((LIT, self.a, self.b))
-            elif self.kind in (TOP, BOT):
-                h = hash(self.kind)
-            else:
-                h = hash((self.kind, self.a, self.b))
-            self._hash = h
-        return h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        if self.kind != other.kind or hash(self) != hash(other):
-            return False
-        if self.kind in (TOP, BOT):
-            return True
-        return self.a == other.a and self.b == other.b
 
 
 top = Formula(TOP)
@@ -158,15 +145,24 @@ def variables(f: Formula):
 def n_occurrences(f: Formula) -> int:
     """Number of literal occurrences (the atom count used for sizes)."""
     n = f._nocc
-    if n is None:
-        if f.kind == LIT:
-            n = 1
-        elif f.kind in (TOP, BOT):
-            n = 0
+    if n is not None:
+        return n
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g.kind in (AND, OR):
+            na, nb = g.a._nocc, g.b._nocc
+            if na is None or nb is None:
+                if na is None:
+                    stack.append(g.a)
+                if nb is None:
+                    stack.append(g.b)
+                continue
+            g._nocc = na + nb
         else:
-            n = n_occurrences(f.a) + n_occurrences(f.b)
-        f._nocc = n
-    return n
+            g._nocc = 1 if g.kind == LIT else 0
+        stack.pop()
+    return f._nocc
 
 
 def occurrence_literals(f: Formula):
@@ -194,11 +190,7 @@ def replace_occurrences(f: Formula, repl: dict) -> Formula:
             return repl.get(i, g)
         if g.kind in (TOP, BOT):
             return g
-        a = rec(g.a)
-        b = rec(g.b)
-        if a is g.a and b is g.b:
-            return g
-        return Formula(g.kind, a, b)
+        return Formula(g.kind, rec(g.a), rec(g.b))
 
     return rec(f)
 
@@ -290,15 +282,8 @@ def _canon_with_map(f: Formula):
         return f, (0,)
     # children of the same connective, flattened, each with its own map
     parts = []  # (canonical child, original occurrence indexes in order)
-    counter = [0]
-
-    def collect(g):
-        if g.kind == k:
-            collect(g.a)
-            collect(g.b)
-            return
-        base = counter[0]
-        counter[0] += n_occurrences(g)
+    base = 0
+    for g in _spine(f, k):
         m = g._cmap
         if m is None:
             c, m = _canon_with_map(g)
@@ -306,8 +291,7 @@ def _canon_with_map(f: Formula):
             c = g._canon
         if c.kind == k:
             # child canonicalized into the same connective: flatten its spine
-            spine = []
-            _spine(c, k, spine)
+            spine = _spine(c, k)
             sizes = [n_occurrences(s) for s in spine]
             bounds = []
             acc = 0
@@ -320,8 +304,7 @@ def _canon_with_map(f: Formula):
                 parts.append((s, [(i, m[i - base] - lo) for i in idxs]))
         else:
             parts.append((c, [(base + i, t) for i, t in enumerate(m)]))
-
-    collect(f)
+        base += n_occurrences(g)
 
     # unit laws on the flattened children
     unit_drop = bot if k == OR else top
@@ -346,12 +329,18 @@ def _canon_with_map(f: Formula):
     return canon, mapping
 
 
-def _spine(f, kind, out):
-    if f.kind == kind:
-        _spine(f.a, kind, out)
-        _spine(f.b, kind, out)
-    else:
-        out.append(f)
+def _spine(f, kind):
+    """The maximal subformulas of f whose kind is not ``kind``, left to right."""
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g.kind == kind:
+            stack.append(g.b)
+            stack.append(g.a)
+        else:
+            out.append(g)
+    return out
 
 
 def _rnest(kind, items):
@@ -410,38 +399,38 @@ def fparse(text: str) -> Formula:
             pos += 1
         return text[start:pos]
 
-    def term():
-        nonlocal pos
+    # one entry per open "(": None until its left operand is read, then the
+    # pair (connective, left operand) while its right operand is read
+    stack = []
+    while True:
         skip()
         if pos >= n:
             raise FormulaSyntaxError("unexpected end of input", pos)
-        ch = text[pos]
-        if ch == "(":
+        if text[pos] == "(":
             pos += 1
-            a = term()
+            stack.append(None)
+            continue
+        if text[pos] == "~":
+            pos += 1
             skip()
-            if pos >= n or text[pos] not in "&|":
-                raise FormulaSyntaxError("expected '&' or '|'", pos)
-            op = text[pos]
-            pos += 1
-            b = term()
+            f = lit(ident(), True)
+        else:
+            name = ident()
+            f = top if name == "T" else bot if name == "F" else lit(name)
+        while stack and stack[-1] is not None:
+            kind, left = stack.pop()
             skip()
             if pos >= n or text[pos] != ")":
                 raise FormulaSyntaxError("expected ')'", pos)
             pos += 1
-            return Formula(AND if op == "&" else OR, a, b)
-        if ch == "~":
-            pos += 1
-            skip()
-            return lit(ident(), True)
-        name = ident()
-        if name == "T":
-            return top
-        if name == "F":
-            return bot
-        return lit(name)
-
-    f = term()
+            f = Formula(kind, left, f)
+        if not stack:
+            break
+        skip()
+        if pos >= n or text[pos] not in "&|":
+            raise FormulaSyntaxError("expected '&' or '|'", pos)
+        stack[-1] = (AND if text[pos] == "&" else OR, f)
+        pos += 1
     skip()
     if pos != n:
         raise FormulaSyntaxError("trailing input", pos)

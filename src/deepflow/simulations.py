@@ -495,10 +495,9 @@ def sks_php_proof(n: int) -> Derivation:
         if hit is not None:
             d, es = _leaf_proof(hit)
             us = [hit]
-            es = sorted(set(fprint(e) for e in es))
-            es_f = [_parse_lit(e) for e in es]
-            d = glue(d, leaf(disj_all(us + es_f)))
-            return d, us, es_f
+            es = sorted(set(es), key=fprint)
+            d = glue(d, leaf(disj_all(us + es)))
+            return d, us, es
         if depth >= len(order):
             raise AssertionError("total assignment without a satisfied disjunct")
         v = order[depth]
@@ -549,10 +548,6 @@ def sks_php_proof(n: int) -> Derivation:
         )
     d = glue(d, leaf(php))
     return ensure_checked(d, SKS)
-
-
-def _parse_lit(text: str) -> Formula:
-    return lit(text[1:], True) if text.startswith("~") else lit(text)
 
 
 def _ensure_escape(d, us, es, e):

@@ -27,6 +27,15 @@ def test_check_exit_codes(tmp_path, demo_path, capsys):
     assert main(["check", str(missing)]) == 2
 
 
+def test_check_deeply_nested_formula(tmp_path, capsys):
+    deep = tmp_path / "deep.sksd"
+    deep.write_text("(form " + "(" * 30000 + "a" + "&a)" * 30000 + ")\n")
+    assert main(["check", str(deep)]) == 0
+    out, err = capsys.readouterr()
+    assert "PASS check: SKS proof=False size=30001" in out
+    assert "Traceback" not in out + err
+
+
 def test_flow_outputs(tmp_path, demo_path, capsys):
     dot = tmp_path / "f.dot"
     js = tmp_path / "f.json"

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,9 +144,31 @@ def test_occurrence_map_is_bijective(f):
     assert sorted(m) == list(range(len(m)))
 
 
+@given(formulas)
+@settings(max_examples=80, deadline=None)
+def test_formulas_are_interned(f):
+    assert fparse(fprint(f)) is f
+    assert dual(dual(f)) is f
+
+
+def test_equal_literals_are_one_node():
+    assert lit("x", 0) is lit("x", False)
+    assert conj(lit("x"), top) is fparse("(x & T)")
+
+
+def test_interning_keeps_no_formula_alive():
+    f = conj(lit("only_in_this_test"), lit("only_in_this_test", True))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
 @given(formulas, st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_warm_subformula_caches_give_cold_results(f, rnd):
+    # equal formulas are one node, so "cold" means every subformula's
+    # canonical cache cleared
     subs = []
     stack = [f]
     while stack:
@@ -152,12 +176,19 @@ def test_warm_subformula_caches_give_cold_results(f, rnd):
         subs.append(g)
         if g.kind in (AND, OR):
             stack += [g.a, g.b]
+
+    def clear():
+        for g in subs:
+            g._canon = g._cmap = None
+
+    clear()
+    cold_map, cold = canonical_occurrence_map(f), canonicalize(f)
+    clear()
     rnd.shuffle(subs)
     for g in subs[: rnd.randint(0, len(subs))]:
         rnd.choice((canonicalize, canonical_occurrence_map))(g)
-    cold = fparse(fprint(f))
-    assert canonical_occurrence_map(f) == canonical_occurrence_map(cold)
-    assert canonicalize(f) == canonicalize(cold)
+    assert canonical_occurrence_map(f) == cold_map
+    assert canonicalize(f) == cold
 
 
 def test_canonicalize_deep_alternation():
@@ -171,3 +202,15 @@ def test_canonicalize_deep_alternation():
     assert canonicalize(deep()) == lit("a")
     assert canonical_occurrence_map(deep()) == (0,)
 
+
+def test_canonicalize_leaves_no_cyclic_garbage():
+    f = lit("x0")
+    for i in range(1, 201):
+        f = (conj if i % 2 else disj)(lit(f"x{i}"), f)
+    gc.collect()
+    gc.disable()
+    try:
+        canonicalize(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
