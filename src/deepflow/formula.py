@@ -196,21 +196,36 @@ def replace_occurrences(f: Formula, repl: dict) -> Formula:
 
 
 def evaluate(f: Formula, assignment) -> bool:
-    """Truth value under a total assignment of f's variables."""
-    k = f.kind
-    if k == TOP:
-        return True
-    if k == BOT:
-        return False
-    if k == LIT:
-        try:
-            v = assignment[f.a]
-        except KeyError:
-            raise UndefinedVariableError(f.a) from None
-        return (not v) if f.b else bool(v)
-    if k == AND:
-        return evaluate(f.a, assignment) and evaluate(f.b, assignment)
-    return evaluate(f.a, assignment) or evaluate(f.b, assignment)
+    """Truth value under a total assignment of f's variables.
+
+    Left to right with short-circuiting, so a variable right of a deciding
+    subformula need not be assigned.
+    """
+    pending = []  # connectives whose left child is being evaluated
+    g = f
+    while True:
+        k = g.kind
+        if k in (AND, OR):
+            pending.append(g)
+            g = g.a
+            continue
+        if k == LIT:
+            try:
+                v = assignment[g.a]
+            except KeyError:
+                raise UndefinedVariableError(g.a) from None
+            v = (not v) if g.b else bool(v)
+        else:
+            v = k == TOP
+        # v decides each pending connective it short-circuits; the first one
+        # it does not is decided by its right child
+        while pending:
+            p = pending.pop()
+            if v != (p.kind == OR):
+                g = p.b
+                break
+        else:
+            return v
 
 
 class UndefinedVariableError(KeyError):
@@ -358,19 +373,32 @@ def _rnest(kind, items):
 
 
 def fprint(f: Formula) -> str:
+    """The text of f, cached on f.
+
+    Cached subformula texts are reused, but only f's own text is stored: a
+    chain nested n deep would otherwise keep n texts of average length 2n.
+    """
     s = f._s
-    if s is None:
-        k = f.kind
-        if k == TOP:
-            s = "T"
-        elif k == BOT:
-            s = "F"
-        elif k == LIT:
-            s = ("~" + f.a) if f.b else f.a
+    if s is not None:
+        return s
+    out = []
+    stack = [f]  # formulas still to print, and the text between them
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            out.append(g)
+        elif g._s is not None:
+            out.append(g._s)
+        elif g.kind == TOP:
+            out.append("T")
+        elif g.kind == BOT:
+            out.append("F")
+        elif g.kind == LIT:
+            out.append(("~" + g.a) if g.b else g.a)
         else:
-            op = "&" if k == AND else "|"
-            s = "(" + fprint(f.a) + op + fprint(f.b) + ")"
-        f._s = s
+            out.append("(")
+            stack += (")", g.b, "&" if g.kind == AND else "|", g.a)
+    f._s = s = "".join(out)
     return s
 
 

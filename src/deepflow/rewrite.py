@@ -1,16 +1,18 @@
 """The eight-rule flow rewriting system and its normalization strategies.
 
 Every left-hand side is a pair of nodes joined by one edge, so redex
-discovery is a single scan over edges.  Normalization exhausts the
+discovery is a single scan over edges, and after a step only the edges it
+touched can gain or lose a redex.  Normalization exhausts the
 size-decreasing weakening rules first and the two cocontraction rules second;
 by confluence the normal form does not depend on the order within a phase,
-which also licenses applying batches of node-disjoint redexes between
-rescans.
+which also licenses applying batches of node-disjoint redexes.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .derivation import ACD, ACU, AID, AWD, AWU
@@ -108,20 +110,39 @@ def find_redexes(flow: AtomicFlow, sub=NORM):
 def scan_redexes(flow, sub=NORM):
     """find_redexes without validation, for any object with nodes and edges
     dicts (an AtomicFlow or the mutable flow of normalization)."""
-    nodes = flow.nodes
     out = []
-    for e, (s, t) in flow.edges.items():
-        if s is None or t is None:
-            continue
-        rule = _PATTERN.get((nodes[s[0]], nodes[t[0]]))
-        if rule is not None and rule in sub:
-            out.append(Redex(rule, s[0], t[0], e))
-    out.sort(key=lambda r: (_RULE_INDEX[r.rule], r.src, r.tgt, r.edge))
+    for e in flow.edges:
+        r = _redex_at(flow, e)
+        if r is not None and r.rule in sub:
+            out.append(r)
+    out.sort(key=_order)
     return out
 
 
+def _redex_at(flow, e):
+    """The redex whose joining edge is e, or None."""
+    s, t = flow.edges[e]
+    if s is None or t is None:
+        return None
+    rule = _PATTERN.get((flow.nodes[s[0]], flow.nodes[t[0]]))
+    return None if rule is None else Redex(rule, s[0], t[0], e)
+
+
+def _order(r):
+    """The deterministic order of redexes: by rule, then anchors, then edge."""
+    return (_RULE_INDEX[r.rule], r.src, r.tgt, r.edge)
+
+
 class _MutFlow:
-    """Mutable flow with incrementally maintained port adjacency."""
+    """Mutable flow with incrementally maintained port adjacency.
+
+    The mutators record what they touch until take_changes: the edges added,
+    removed or re-ended, the nodes whose in-edges changed (an in-edge added,
+    removed or given a new source) together with new nodes, and the removed
+    nodes with their kinds.  Node kinds never change in place, so a redex can
+    appear or vanish only on a touched edge, and a distance from the top can
+    change only at a touched node or below one.
+    """
 
     def __init__(self, flow: AtomicFlow):
         self.nodes = dict(flow.nodes)
@@ -134,6 +155,16 @@ class _MutFlow:
             if t is not None:
                 self.ins[t[0]][t[1]] = e
         self.next_id = max([*self.nodes, *self.edges], default=-1) + 1
+        self.touched_edges = set()
+        self.touched_nodes = set()
+        self.removed = {}
+
+    def take_changes(self):
+        """(touched edges, touched nodes, removed node -> kind) since the
+        last call."""
+        out = self.touched_edges, self.touched_nodes, self.removed
+        self.touched_edges, self.touched_nodes, self.removed = set(), set(), {}
+        return out
 
     def freeze(self) -> AtomicFlow:
         return AtomicFlow(self.nodes, self.edges)
@@ -144,45 +175,56 @@ class _MutFlow:
         self.nodes[n] = kind
         self.ins[n] = {}
         self.outs[n] = {}
+        self.touched_nodes.add(n)
         return n
 
     def add_edge(self, src, tgt):
         e = self.next_id
         self.next_id += 1
         self.edges[e] = (src, tgt)
+        self.touched_edges.add(e)
         if src is not None:
             self.outs[src[0]][src[1]] = e
         if tgt is not None:
             self.ins[tgt[0]][tgt[1]] = e
+            self.touched_nodes.add(tgt[0])
         return e
 
     def del_edge(self, e):
         s, t = self.edges.pop(e)
+        self.touched_edges.add(e)
         if s is not None:
             self.outs[s[0]].pop(s[1], None)
         if t is not None:
             self.ins[t[0]].pop(t[1], None)
+            self.touched_nodes.add(t[0])
 
     def del_node(self, n):
-        del self.nodes[n]
+        self.removed[n] = self.nodes.pop(n)
         del self.ins[n]
         del self.outs[n]
 
     def set_src(self, e, src):
         s, t = self.edges[e]
+        self.touched_edges.add(e)
         if s is not None:
             self.outs[s[0]].pop(s[1], None)
         self.edges[e] = (src, t)
         if src is not None:
             self.outs[src[0]][src[1]] = e
+        if t is not None:
+            self.touched_nodes.add(t[0])
 
     def set_tgt(self, e, tgt):
         s, t = self.edges[e]
+        self.touched_edges.add(e)
         if t is not None:
             self.ins[t[0]].pop(t[1], None)
+            self.touched_nodes.add(t[0])
         self.edges[e] = (s, tgt)
         if tgt is not None:
             self.ins[tgt[0]][tgt[1]] = e
+            self.touched_nodes.add(tgt[0])
 
     def in_edge(self, n, port):
         return self.ins[n][port]
@@ -312,6 +354,11 @@ def _d_sequence(nodes, edges, ins):
     a node whose in-edge comes from an identity, a weakening, or a pending
     top end is at distance 1.  ins maps each node to its {port: in-edge}.
     """
+    return _profile(_acu_counts(nodes, _distances(nodes, edges, ins)))
+
+
+def _distances(nodes, edges, ins):
+    """Every node's distance, in one pass in topological order."""
     succ = {n: [] for n in nodes}
     for s, t in edges.values():
         if s is not None and t is not None:
@@ -320,24 +367,87 @@ def _d_sequence(nodes, edges, ins):
     if order is None:
         raise ValueError("flow has a cycle")
     d = {}
-    counts = {}
     for n in order:
-        best = 0
-        for e in ins[n].values():
-            s = edges[e][0]
-            if s is None or nodes[s[0]] in (AID, AWD):
-                hop = 1
-            else:
-                hop = 1 + d[s[0]]
-            if hop > best:
-                best = hop
-        d[n] = best
-        if nodes[n] == ACU:
-            counts[best] = counts.get(best, 0) + 1
-    seq = [0] * ((max(counts) + 1) if counts else 0)
+        d[n] = _distance(nodes, edges, ins, d, n)
+    return d
+
+
+def _distance(nodes, edges, ins, d, n):
+    """n's distance from its in-edges' sources' distances in d; a source
+    missing from d counts as distance 0."""
+    best = 0
+    for e in ins[n].values():
+        s = edges[e][0]
+        if s is None or nodes[s[0]] in (AID, AWD):
+            hop = 1
+        else:
+            hop = 1 + d.get(s[0], 0)
+        if hop > best:
+            best = hop
+    return best
+
+
+def _acu_counts(nodes, d):
+    return Counter(d[n] for n, k in nodes.items() if k == ACU)
+
+
+def _profile(counts):
+    """The D sequence of {distance: cocontraction count}, zero counts aside."""
+    seq = [0] * (max((i for i, c in counts.items() if c), default=-1) + 1)
     for i, c in counts.items():
-        seq[i] = c
+        if c:
+            seq[i] = c
     return tuple(seq)
+
+
+class _Distances:
+    """Every node's distance and the cocontraction count at each distance of
+    a _MutFlow, kept up to date step by step.
+
+    After a step only the touched nodes and nodes below them can move.  The
+    touched nodes are recomputed from their in-edges, and each node whose
+    distance changes queues its successors, until nothing changes (a dynamic
+    longest path on a DAG, after Pearce and Kelly, JEA 2006).  Every node
+    left out of the queue still satisfies its equation, and a DAG has one
+    solution, so the result equals a full pass.  The queue is ordered by
+    distance before the change, which is a topological order of the
+    untouched part, so most nodes are recomputed once per step.
+    """
+
+    def __init__(self, m: _MutFlow):
+        self.m = m
+        self.dist = _distances(m.nodes, m.edges, m.ins)
+        self.counts = _acu_counts(m.nodes, self.dist)
+
+    def update(self, touched, removed):
+        m, dist, counts = self.m, self.dist, self.counts
+        for n, kind in removed.items():
+            old = dist.pop(n)
+            if kind == ACU:
+                counts[old] -= 1
+        queue = [(dist.get(n, 0), n) for n in touched if n in m.nodes]
+        heapq.heapify(queue)
+        queued = {n for _, n in queue}
+        while queue:
+            n = heapq.heappop(queue)[1]
+            queued.discard(n)
+            new = _distance(m.nodes, m.edges, m.ins, dist, n)
+            old = dist.get(n)
+            if new == old:
+                continue
+            dist[n] = new
+            if m.nodes[n] == ACU:
+                if old is not None:
+                    counts[old] -= 1
+                counts[new] += 1
+            for e in m.outs[n].values():
+                t = m.edges[e][1]
+                if t is not None and t[0] not in queued:
+                    queued.add(t[0])
+                    heapq.heappush(queue, (dist.get(t[0], 0), t[0]))
+
+    def profile(self):
+        return _profile(self.counts)
 
 
 def termination_measure(flow: AtomicFlow):
@@ -382,12 +492,13 @@ class NormalizationError(AssertionError):
     pass
 
 
-def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | None = None):
+def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = True):
     """Reduce to the unique normal form; returns (normal flow, trace).
 
     strategy 'wk-first' exhausts the weakening subsystem before the
     cocontraction one; 'cont-first' greedily prefers cocontraction redexes at
-    every step (exponentially long on the tower family).
+    every step (exponentially long on the tower family).  Either takes the
+    least redex in the order of scan_redexes, or the least disjoint batch.
 
     With measures on, every applied step is checked against the per-rule
     monotonicity facts: weakening steps shrink the flow without raising the
@@ -395,19 +506,38 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
     lexicographic product, and id-cu steps strictly reduce the cocontraction
     count.  (The full product does not decrease for id-cu in general; see the
     format notes.)
+
+    A step costs what it touches: the redexes are kept in an index updated on
+    the touched edges, and the distances incrementally.  At the end, a full
+    scan must find no redex and a full pass must give the same D.
     """
     require_valid(flow)
-    if measures is None:
-        measures = len(flow.edges) <= 600
+    if strategy not in ("wk-first", "cont-first"):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
     m = _MutFlow(flow)
     trace = []
     initial_size = len(flow.edges)
     wk_steps = 0
     cont_steps = 0
-    # D of the current flow; nothing changes the flow between two steps, so
-    # one step's D after is the next step's D before
-    d_now = _d_sequence(m.nodes, m.edges, m.ins) if measures else None
+    index = {}  # edge -> the redex it joins
+    # cont-first: heap of (not a cont rule, *_order(r)) with lazy deletion;
+    # the index says which entries are still live
+    heap = [] if strategy == "cont-first" else None
+
+    def reindex(edges):
+        for e in edges:
+            index.pop(e, None)
+            if e in m.edges:
+                r = _redex_at(m, e)
+                if r is not None:
+                    index[e] = r
+                    if heap is not None:
+                        heapq.heappush(heap, (r.rule in WK, *_order(r)))
+
+    reindex(m.edges)
+    dist = _Distances(m) if measures else None
+    d_now = dist.profile() if measures else None
 
     def run_batch(redexes):
         nonlocal wk_steps, cont_steps, d_now
@@ -422,10 +552,13 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
             size_after = len(m.edges)
             if size_after - size_before != _SIZE_DELTA[r.rule]:
                 raise NormalizationError(f"{r.rule} changed size by {size_after - size_before}")
+            edges, nodes, removed = m.take_changes()
+            reindex(edges)
             d_after = None
             if measures:
+                dist.update(nodes, removed)
                 d_before = d_now
-                d_after = d_now = _d_sequence(m.nodes, m.edges, m.ins)
+                d_after = d_now = dist.profile()
                 if r.rule in WK:
                     if not size_after < size_before:
                         raise NormalizationError(f"wk step {r.rule} did not shrink the flow")
@@ -447,25 +580,21 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool | Non
     if strategy == "wk-first":
         for sub in (WK, CONT):
             while True:
-                redexes = scan_redexes(m, sub)
+                redexes = sorted((r for r in index.values() if r.rule in sub), key=_order)
                 if not redexes:
                     break
                 run_batch(redexes)
-    elif strategy == "cont-first":
-        while True:
-            redexes = scan_redexes(m, CONT)
-            if redexes:
-                run_batch(redexes[:1])
-                continue
-            redexes = scan_redexes(m, WK)
-            if not redexes:
-                break
-            run_batch(redexes[:1])
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        while heap:
+            entry = heapq.heappop(heap)
+            r = index.get(entry[-1])
+            if r is not None and (r.rule in WK, *_order(r)) == entry:
+                run_batch((r,))
 
     if scan_redexes(m, NORM):
         raise NormalizationError("normal form still has redexes")
+    if measures and _d_sequence(m.nodes, m.edges, m.ins) != d_now:
+        raise NormalizationError("incremental distance sequence differs from a full pass")
     result = m.freeze()
     if strategy == "wk-first":
         if wk_steps > initial_size:

@@ -36,6 +36,14 @@ def test_check_deeply_nested_formula(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+def test_tt_deeply_nested_formula(capsys):
+    deep = "(" * 30000 + "a" + "&a)" * 30000
+    assert main(["tt", deep]) == 1
+    out, err = capsys.readouterr()
+    assert f"FAIL tautology: {deep} is not a tautology" in out
+    assert "Traceback" not in out + err
+
+
 def test_flow_outputs(tmp_path, demo_path, capsys):
     dot = tmp_path / "f.dot"
     js = tmp_path / "f.json"

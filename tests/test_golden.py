@@ -34,9 +34,11 @@ def test_resolution_chain_proof_bytes():
     [
         (lambda: cubic_flow(10), {}, "5df46b14b2e69771"),
         (lambda: cubic_flow(20), {"measures": False}, "3371160b60b0a4c1"),
+        (lambda: cubic_flow(20), {}, "6177bb50396bf732"),
         (lambda: tower_flow(10), {}, "1b14cc30e74013f9"),
+        (lambda: tower_flow(10), {"strategy": "cont-first"}, "f5e8fda6c2f6bc27"),
     ],
-    ids=["cubic-10", "cubic-20-unmeasured", "tower-10"],
+    ids=["cubic-10", "cubic-20-unmeasured", "cubic-20", "tower-10", "tower-10-cont-first"],
 )
 def test_normalize_trace_bytes(flow, kwargs, expected):
     _, trace = normalize(flow(), **kwargs)

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import ks_plus_proof_flows, small_flows
 from deepflow.derivation import ACD, ACU, AID, AWD, AWU
 from deepflow.families import (
     critical_pair_flows,
+    cubic_flow,
     demo_reduced_flow,
     demo_proof,
+    random_ks_plus_proof,
     tower_flow,
 )
 from deepflow.flow import FlowBuilder, extract, iso
@@ -16,12 +19,16 @@ from deepflow.rewrite import (
     CONT,
     WK,
     StaleRedexError,
+    TraceStep,
+    _d_sequence,
+    _MutFlow,
     apply_redex,
     d_sequence_less,
     explore_reductions,
     find_redexes,
     measure_less,
     normalize,
+    scan_redexes,
     termination_measure,
 )
 
@@ -104,6 +111,64 @@ def test_normalize_tower():
         nf2, trace2 = normalize(f, strategy="cont-first")
         assert iso(nf, nf2)
         assert len(trace2) >= 2**n - 1
+
+
+def reference_normalize(flow, strategy):
+    """normalize with measures on, as a rescan-and-recompute loop: a full
+    scan_redexes picks every step or batch, and a full _d_sequence follows
+    every step."""
+    m = _MutFlow(flow)
+    trace = []
+
+    def run(redexes):
+        used = set()
+        for r in redexes:
+            if r.src in used or r.tgt in used:
+                continue
+            m.apply(r)
+            used |= {r.src, r.tgt}
+            d = _d_sequence(m.nodes, m.edges, m.ins)
+            trace.append(TraceStep(r.rule, r.anchors(), len(m.edges), d))
+
+    if strategy == "wk-first":
+        for sub in (WK, CONT):
+            while redexes := scan_redexes(m, sub):
+                run(redexes)
+    else:
+        while redexes := scan_redexes(m, CONT) or scan_redexes(m, WK):
+            run(redexes[:1])
+    return m.freeze(), trace
+
+
+def assert_matches_reference(flow):
+    for strategy in ("wk-first", "cont-first"):
+        nf, trace = normalize(flow, strategy=strategy)
+        ref_nf, ref_trace = reference_normalize(flow, strategy)
+        assert trace == ref_trace, strategy
+        assert (nf.nodes, nf.edges) == (ref_nf.nodes, ref_nf.edges), strategy
+
+
+@given(st.integers(0, 2**32), st.integers(2, 10))
+@settings(max_examples=60, deadline=None)
+def test_normalize_matches_rescan_reference_on_random_proof_flows(seed, steps):
+    proof = random_ks_plus_proof(random.Random(seed), steps=steps)
+    assert_matches_reference(extract(proof, assume_checked=True).flow)
+
+
+@pytest.mark.parametrize(
+    "flow", [tower_flow(n) for n in range(9)] + [cubic_flow(n) for n in range(1, 7)],
+    ids=[f"tower-{n}" for n in range(9)] + [f"cubic-{n}" for n in range(1, 7)],
+)
+def test_normalize_matches_rescan_reference_on_families(flow):
+    assert_matches_reference(flow)
+
+
+def test_cont_first_tower_scales():
+    # 12273 measured steps; a step costs what it touches, so this takes
+    # about a second where a rescan per step took minutes
+    _, trace = normalize(tower_flow(12), strategy="cont-first")
+    assert len(trace) == 12273
+    assert trace[-1].d_after == ()
 
 
 def test_normalize_demo_proof_flow():
