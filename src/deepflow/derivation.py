@@ -69,7 +69,7 @@ LEAF, COMP, STEP = "leaf", "comp", "step"
 class Derivation:
     """Leaf(formula) | Compose(connective, left, right) | Step(rule, upper, lower)."""
 
-    __slots__ = ("kind", "rule", "a", "b", "_pr", "_cn", "_size")
+    __slots__ = ("kind", "rule", "a", "b", "_pr", "_cn", "_size", "_valid")
 
     def __init__(self, kind, rule=None, a=None, b=None):
         self.kind = kind
@@ -79,6 +79,7 @@ class Derivation:
         self._pr = None
         self._cn = None
         self._size = None
+        self._valid = None  # see check
 
     def __repr__(self):
         if self.kind == LEAF:
@@ -319,8 +320,46 @@ def _match_step(rule: str, cn_up: Formula, pr_lo: Formula):
     return f"unknown rule {rule!r}"
 
 
+# one bit per rule; the KS+ rules take the low eight, so every KS+ mask is a
+# small int that the interpreter shares
+_RULE_BIT = {rule: 1 << i for i, rule in enumerate((EQ, S, M, AID, AWD, ACD, AWU, ACU, AIU))}
+
+
+def _verdict(node, va, vb):
+    """The mask of rules used below node if every step there matches its
+    schema, else -1; only masks are stored on the nodes."""
+    if node.kind == LEAF:
+        mask = 0
+    elif va < 0 or vb < 0:
+        return -1
+    elif node.kind == COMP:
+        mask = va | vb
+    else:
+        bit = _RULE_BIT.get(node.rule)
+        if bit is None or _match_step(node.rule, conclusion(node.a), premiss(node.b)) is not None:
+            return -1
+        mask = va | vb | bit
+    node._valid = mask
+    return mask
+
+
 def check(d: Derivation, system=SKS) -> CheckReport:
-    """Validate every inference step of d against the system's rule schemas."""
+    """Validate every inference step of d against the system's rule schemas.
+
+    Each node keeps the mask of the rules used in its subtree once every
+    step there has matched its schema, so a recheck visits only the nodes
+    built since; d passes when its mask lies within the system and eq.  On
+    failure a full walk lists the errors.
+    """
+    mask = d._valid
+    if mask is None:
+        endpoints(d)  # in one walk, not one per step
+        mask = bottom_up(d, _verdict, lambda n: n._valid)
+    allowed = _RULE_BIT[EQ]
+    for rule in system:
+        allowed |= _RULE_BIT.get(rule, 0)
+    if mask >= 0 and not mask & ~allowed:
+        return CheckReport(True, [])
     errors = []
     for node in iter_nodes(d):
         if node.kind != STEP:

@@ -27,9 +27,9 @@ from .derivation import (
     COMP,
     EQ,
     LEAF,
-    M,
     S,
     SKS,
+    STRUCTURAL,
     Derivation,
     conclusion,
     ensure_checked,
@@ -218,24 +218,47 @@ def require_valid(flow: AtomicFlow):
 
 
 class Extraction:
-    """Flow of a derivation plus the edge <-> occurrence bookkeeping."""
+    """Flow of a derivation plus the edge <-> occurrence bookkeeping.
 
-    __slots__ = ("flow", "_segments", "_node_paths")
+    Positions in the derivation tree are path nodes: None for the root, and
+    the pair (parent path node, branch) below it, with branch 0 for the left
+    or upper child and 1 for the right or lower one.  Every position has one
+    path node object.
+    """
 
-    def __init__(self, flow, segments, node_paths):
+    __slots__ = ("flow", "_leaves", "_ids", "_node_paths")
+
+    def __init__(self, flow, leaves, ids, node_paths):
         self.flow = flow
-        self._segments = segments
+        self._leaves = leaves  # (path node, edge ids) per leaf, in leaf order
+        self._ids = ids  # flow edge -> edge id
         self._node_paths = node_paths
+
+    def raw_segments(self, edges):
+        """Occurrences on each of the edges, as a dict from edge to a list of
+        (path node, in-order occ index) pairs in leaf order."""
+        want = {self._ids[e]: [] for e in edges}
+        for pathnode, ids in self._leaves:
+            if not want.keys().isdisjoint(ids):
+                for i, x in enumerate(ids):
+                    if x in want:
+                        want[x].append((pathnode, i))
+        return {e: want[self._ids[e]] for e in edges}
 
     def segment(self, edge):
         """Occurrences on an edge as (derivation path, in-order occ index) pairs."""
-        return [(_materialize(p), i) for p, i in self._segments[edge]]
+        return [(path_of(p), i) for p, i in self.raw_segments((edge,))[edge]]
+
+    def raw_node_path(self, node):
+        """The path node of the step a flow node came from."""
+        return self._node_paths[node]
 
     def node_path(self, node):
-        return _materialize(self._node_paths[node])
+        return path_of(self._node_paths[node])
 
 
-def _materialize(pathnode):
+def path_of(pathnode):
+    """The branches from the root to a path node, as a tuple."""
     out = []
     while pathnode is not None:
         pathnode, branch = pathnode
@@ -244,142 +267,118 @@ def _materialize(pathnode):
     return tuple(out)
 
 
-def _flatten(rope, out):
-    stack = [rope]
-    while stack:
-        r = stack.pop()
-        if isinstance(r, list):
-            out.extend(r)
-        else:
-            stack.append(r[1])
-            stack.append(r[0])
-    return out
-
-
 def extract(d: Derivation, assume_checked: bool = False) -> Extraction:
-    """Extract the atomic flow of a checked SKS derivation."""
+    """Extract the atomic flow of a checked SKS derivation.
+
+    One walk in tree order hands each subderivation the edges of its premiss
+    occurrences and collects the edges of its conclusion occurrences: a leaf
+    passes them through, eq, switch and medial steps permute them, and a
+    structural step ends the edges above it at a new node and starts fresh
+    edges below it.  Edges are numbered by their first occurrence in
+    left-to-right leaf order, nodes in post-order of their steps.
+    """
     if not assume_checked:
         ensure_checked(d, SKS)
 
-    src = []
+    src = []  # per edge id, in creation order
     tgt = []
-    seg = []
-    uf = []
-
-    def new_edge(pathnode, idx):
-        e = len(uf)
-        uf.append(e)
-        src.append(None)
-        tgt.append(None)
-        seg.append([(pathnode, idx)])
-        return e
-
-    def find(e):
-        while uf[e] != e:
-            uf[e] = uf[uf[e]]
-            e = uf[e]
-        return e
-
-    def union_vert(e, f):
-        # e's bottom end meets f's top end; e stays the representative
-        e = find(e)
-        f = find(f)
-        if e == f:
-            raise AssertionError("occurrence threading collapsed an edge onto itself")
-        se, sf = seg[e], seg[f]
-        if len(sf) > len(se):
-            sf.extend(se)
-            seg[e] = sf
-        else:
-            se.extend(sf)
-        seg[f] = None
-        tgt[e] = tgt[f]
-        uf[f] = e
-
+    number = []  # edge id -> flow edge, set at the edge's first occurrence
+    numbered = 0
+    leaves = []
     nodes = {}
     node_paths = {}
-    node_ports = {}
 
-    def new_node(kind, pathnode):
-        n = len(nodes)
-        nodes[n] = kind
-        node_paths[n] = pathnode
-        node_ports[n] = ([None] * ARITY[kind][0], [None] * ARITY[kind][1])
-        return n
+    def fresh(n):
+        first = len(src)
+        src.extend([None] * n)
+        tgt.extend([None] * n)
+        number.extend([None] * n)
+        return [first, list(range(first, first + n)), 0]
 
-    # post-order over tree positions; results are (premiss rope, conclusion rope)
-    results = []
-    stack = [(d, None, False)]
+    # Leaves take their edges from the top input, a list [id of its first
+    # edge if the edges are fresh (else None), edge ids, cursor], and append
+    # them to out, the conclusion edges of the part being walked.
+    inputs = [fresh(n_occurrences(premiss(d)))]
+    out = []
+    stack = [(_VISIT, d, None, None)]
     while stack:
-        node, pathnode, done = stack.pop()
-        if not done:
-            if node.kind == LEAF:
-                ids = [new_edge(pathnode, i) for i in range(n_occurrences(node.a))]
-                results.append((ids, ids))
-                continue
-            stack.append((node, pathnode, True))
-            stack.append((node.b, (pathnode, 1), False))
-            stack.append((node.a, (pathnode, 0), False))
-            continue
-        pb, cb = results.pop()
-        pa, ca = results.pop()
-        if node.kind == COMP:
-            results.append(((pa, pb), (ca, cb)))
-            continue
-        # a step: wire the conclusion of the upper part to the premiss of the lower
-        rule = node.rule
-        upper = _flatten(ca, [])
-        lower = _flatten(pb, [])
-        if rule == EQ:
-            x = conclusion(node.a)
-            y = premiss(node.b)
-            mx = canonical_occurrence_map(x)
-            my = canonical_occurrence_map(y)
-            inv = [0] * len(my)
-            for j, pos in enumerate(my):
-                inv[pos] = j
-            for i, e in enumerate(upper):
-                union_vert(e, lower[inv[mx[i]]])
-        elif rule == S:
-            for e, f in zip(upper, lower):
-                union_vert(e, f)
-        elif rule == M:
-            x = conclusion(node.a)
-            na = n_occurrences(x.a.a)
-            nb = n_occurrences(x.a.b)
-            nc = n_occurrences(x.b.a)
-            for i, e in enumerate(upper):
-                if i < na:
-                    j = i
-                elif i < na + nb:
-                    j = na + nc + (i - na)
-                elif i < na + nb + nc:
-                    j = na + (i - na - nb)
+        tag, node, pathnode, x = stack.pop()
+        if tag is _VISIT:
+            # down the left and upper children to a leaf
+            while node.kind != LEAF:
+                if node.kind == COMP:
+                    stack.append((_VISIT, node.b, (pathnode, 1), None))
                 else:
-                    j = i
-                union_vert(e, lower[j])
+                    stack.append((_JOIN, node, pathnode, out))
+                    out = []
+                node = node.a
+                pathnode = (pathnode, 0)
+            inp = inputs[-1]
+            first, ids, c = inp
+            n = n_occurrences(node.a)
+            inp[2] = c + n
+            mine = ids[c : c + n]
+            if first is not None:
+                number[first + c : first + c + n] = range(numbered, numbered + n)
+                numbered += n
+            out += mine
+            leaves.append((pathnode, mine))
+        elif tag is _JOIN:
+            # out holds the conclusion edges of node.a, and x the list that
+            # collects the step's conclusion, which is node.b's
+            upper = out
+            out = x
+            rule = node.rule
+            if rule in STRUCTURAL:
+                inp = fresh(ARITY[rule][1])
+                stack.append((_END, node, pathnode, (upper, inp[1])))
+            else:
+                inp = [None, _permute(rule, node, upper), 0]
+                stack.append((_END, node, pathnode, None))
+            inputs.append(inp)
+            stack.append((_VISIT, node.b, (pathnode, 1), None))
         else:
-            n = new_node(rule, pathnode)
-            ins, outs = node_ports[n]
-            for port, e in enumerate(upper):
-                e = find(e)
-                tgt[e] = (n, port)
-                ins[port] = e
-            for port, f in enumerate(lower):
-                f = find(f)
-                src[f] = (n, port)
-                outs[port] = f
-        results.append((pa, cb))
+            # the end of a step, with the ports of its node if it has one
+            inputs.pop()
+            if x is not None:
+                upper, lower = x
+                n = len(nodes)
+                nodes[n] = node.rule
+                node_paths[n] = pathnode
+                for port, e in enumerate(upper):
+                    tgt[e] = (n, port)
+                for port, e in enumerate(lower):
+                    src[e] = (n, port)
 
-    roots = [e for e in range(len(uf)) if uf[e] == e]
-    remap = {e: i for i, e in enumerate(roots)}
-    edges = {}
-    segments = {}
-    for e in roots:
-        i = remap[e]
-        edges[i] = (src[e], tgt[e])
-        segments[i] = seg[e]
-    return Extraction(AtomicFlow(nodes, edges), segments, node_paths)
+    ids = sorted(range(len(number)), key=number.__getitem__)
+    edges = {i: (src[e], tgt[e]) for i, e in enumerate(ids)}
+    return Extraction(AtomicFlow(nodes, edges), leaves, ids, node_paths)
+
+
+# the actions of extract's walk
+_VISIT, _JOIN, _END = "visit", "join", "end"
+
+
+def _permute(rule, node, upper):
+    """The premiss edges of node.b, given the conclusion edges of node.a, of
+    an eq, switch or medial step."""
+    if rule == EQ:
+        mx = canonical_occurrence_map(conclusion(node.a))
+        my = canonical_occurrence_map(premiss(node.b))
+        if mx == my:
+            return upper
+        by_canon = [None] * len(upper)
+        for i, e in enumerate(upper):
+            by_canon[mx[i]] = e
+        return [by_canon[j] for j in my]
+    if rule == S:
+        return upper
+    # medial: [(A&B)|(C&D)] over ([A|C]&[B|D])
+    x = conclusion(node.a)
+    i = n_occurrences(x.a.a)
+    j = i + n_occurrences(x.a.b)
+    k = j + n_occurrences(x.b.a)
+    return upper[:i] + upper[j:k] + upper[i:j] + upper[k:]
 
 
 def flip_dual(flow: AtomicFlow) -> AtomicFlow:

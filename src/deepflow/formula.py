@@ -11,6 +11,7 @@ canonical form.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 
 TOP = "top"
 BOT = "bot"
@@ -180,19 +181,30 @@ def occurrence_literals(f: Formula):
 
 
 def replace_occurrences(f: Formula, repl: dict) -> Formula:
-    """Rebuild f with the occurrence at in-order index i replaced by repl[i]."""
-    counter = [0]
+    """Rebuild f with the occurrence at in-order index i replaced by repl[i].
 
-    def rec(g):
-        if g.kind == LIT:
-            i = counter[0]
-            counter[0] += 1
-            return repl.get(i, g)
-        if g.kind in (TOP, BOT):
-            return g
-        return Formula(g.kind, rec(g.a), rec(g.b))
-
-    return rec(f)
+    A subformula whose occurrences have no replacement is kept as it is.
+    """
+    keys = sorted(repl)
+    done = []  # the rebuilt subformulas, left to right
+    # (subformula, index of its first occurrence), or (g, -1) to join the
+    # rebuilt children of g
+    stack = [(f, 0)]
+    while stack:
+        g, i = stack.pop()
+        if i < 0:
+            b = done.pop()
+            a = done.pop()
+            done.append(Formula(g.kind, a, b))
+            continue
+        k = bisect_left(keys, i)
+        if k == len(keys) or keys[k] >= i + n_occurrences(g):
+            done.append(g)
+        elif g.kind == LIT:
+            done.append(repl[i])
+        else:
+            stack += ((g, -1), (g.b, i + n_occurrences(g.a)), (g.a, i))
+    return done[0]
 
 
 def evaluate(f: Formula, assignment) -> bool:

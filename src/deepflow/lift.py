@@ -44,7 +44,7 @@ from .derivation import (
     size,
     step,
 )
-from .flow import Extraction, extract, iso
+from .flow import Extraction, extract, iso, path_of
 from .formula import bot, conj, disj, occurrence_literals, replace_occurrences, top
 from .rewrite import (
     CD_CU,
@@ -72,24 +72,30 @@ class LiftError(ValueError):
 # -- tree surgery -----------------------------------------------------------------
 
 
-def _trie_at(trie, path):
-    node = trie
-    for b in path:
-        node = node.setdefault(b, {})
+def _trie_at(at, pathnode):
+    """The trie node of a path node.  at maps id(path node) to trie node and
+    starts as {id(None): trie}; each path node is placed once."""
+    down = []
+    while id(pathnode) not in at:
+        down.append(pathnode)
+        pathnode = pathnode[0]
+    node = at[id(pathnode)]
+    for p in reversed(down):
+        node = node.setdefault(p[1], {})
+        at[id(p)] = node
     return node
 
 
-def _add_substitutions(trie, segment, repl_formula):
-    for leafpath, occidx in segment:
-        node = _trie_at(trie, leafpath)
-        subs = node.setdefault("subs", {})
+def _add_substitutions(at, segment, repl_formula):
+    for pathnode, occidx in segment:
+        subs = _trie_at(at, pathnode).setdefault("subs", {})
         if occidx in subs:
             raise LiftError("overlapping substitutions on one occurrence")
         subs[occidx] = repl_formula
 
 
-def _add_replacer(trie, path, fn):
-    node = _trie_at(trie, path)
+def _add_replacer(at, pathnode, fn):
+    node = _trie_at(at, pathnode)
     if "repl" in node:
         raise LiftError("two step replacements at one path")
     node["repl"] = fn
@@ -226,21 +232,22 @@ _TRANSFORMS = {
 }
 
 
-def _segment_literal(d: Derivation, ext: Extraction, edge: int):
-    """The literal carried by an edge, read off the first occurrence."""
-    leafpath, occidx = ext.segment(edge)[0]
+def _segment_literal(d: Derivation, segment):
+    """The literal carried by an edge, read off its first occurrence."""
+    pathnode, occidx = segment[0]
     node = d
-    for b in leafpath:
+    for b in path_of(pathnode):
         node = node.a if b == 0 else node.b
     return occurrence_literals(node.a)[occidx]
 
 
-def _surgery_for(trie, d: Derivation, ext: Extraction, redex: Redex):
+def _surgery_for(at, d: Derivation, ext: Extraction, redex: Redex, segment):
+    """Add the surgery of one redex, whose edge has the occurrences in
+    segment, to the trie that at places path nodes in."""
     subst, repair_src, repair_tgt = _TRANSFORMS[redex.rule]
-    literal = _segment_literal(d, ext, redex.edge)
-    _add_substitutions(trie, ext.segment(redex.edge), subst(literal))
-    _add_replacer(trie, ext.node_path(redex.src), repair_src)
-    _add_replacer(trie, ext.node_path(redex.tgt), repair_tgt)
+    _add_substitutions(at, segment, subst(_segment_literal(d, segment)))
+    _add_replacer(at, ext.raw_node_path(redex.src), repair_src)
+    _add_replacer(at, ext.raw_node_path(redex.tgt), repair_tgt)
 
 
 def lift_step(d: Derivation, redex: Redex, ext: Extraction | None = None, verify: bool = True) -> Derivation:
@@ -253,7 +260,7 @@ def lift_step(d: Derivation, redex: Redex, ext: Extraction | None = None, verify
         ext = extract(d)
     reduct = apply_redex(ext.flow, redex)  # raises StaleRedexError on mismatch
     trie = {}
-    _surgery_for(trie, d, ext, redex)
+    _surgery_for({id(None): trie}, d, ext, redex, ext.raw_segments((redex.edge,))[redex.edge])
     result = _rebuild(d, trie)
     report = check(result, SKS)
     if not report.ok:
@@ -308,16 +315,20 @@ def normalize_proof(d: Derivation, with_report: bool = False):
             if not redexes:
                 break
             passes += 1
-            trie = {}
+            batch = []
             used = set()
-            applied = 0
             for r in redexes:
                 if r.src in used or r.tgt in used:
                     continue
-                _surgery_for(trie, current, ext, r)
+                batch.append(r)
                 used.add(r.src)
                 used.add(r.tgt)
-                applied += 1
+            segments = ext.raw_segments([r.edge for r in batch])
+            trie = {}
+            at = {id(None): trie}
+            for r in batch:
+                _surgery_for(at, current, ext, r, segments[r.edge])
+            applied = len(batch)
             current = _rebuild(current, trie)
             ensure_checked(current, SKS)
             if sub is WK:

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from deepflow import derivation
 from deepflow.derivation import (
     ACD,
     ACU,
     AID,
     AIU,
+    AWU,
+    EQ,
     GCD,
     GCU,
     GID,
@@ -15,6 +18,7 @@ from deepflow.derivation import (
     GWD,
     GWU,
     KS,
+    STEP,
     KS_PLUS,
     M,
     S,
@@ -33,6 +37,7 @@ from deepflow.derivation import (
     fan_literal,
     glue,
     in_context,
+    iter_nodes,
     leaf,
     premiss,
     rule_census,
@@ -284,3 +289,98 @@ def test_sksd_errors():
         dparse("(and (form a)")
     with pytest.raises(SksdSyntaxError):
         dparse("(step nosuch (form a) (form a))")
+
+
+def full_walk_errors(d, system):
+    """The check report of a walk over every step, with no stored verdicts."""
+    errors = []
+    for node in iter_nodes(d):
+        if node.kind != STEP:
+            continue
+        if node.rule not in system and node.rule != EQ:
+            errors.append(("rule-not-in-system", node.rule, f"{node.rule} not in system"))
+            continue
+        msg = derivation._match_step(node.rule, conclusion(node.a), premiss(node.b))
+        if msg is not None:
+            errors.append(("eq-mismatch" if node.rule == EQ else "schema-mismatch", node.rule, msg))
+    return errors
+
+
+def report_errors(report):
+    return [(e.code, e.rule, e.detail) for e in report.errors]
+
+
+def test_checked_subtree_does_not_hide_a_bad_step():
+    good = demo_proof()
+    assert check(good, SKS).ok
+    # a contraction of a non-literal, below and beside the checked proof
+    f = conj(a, b)
+    bad = step(ACD, leaf(disj(f, f)), leaf(f))
+    below = step(EQ, compose(OR, good, bad), leaf(disj(conclusion(good), f)))
+    for d in (compose(OR, good, bad), compose(AND, bad, good), below):
+        report = check(d, SKS)
+        assert not report.ok
+        assert report_errors(report) == full_walk_errors(d, SKS)
+        assert [e.code for e in report.errors] == ["schema-mismatch"]
+        # a failing check stores no verdict, so it fails again
+        assert report_errors(check(d, SKS)) == full_walk_errors(d, SKS)
+        assert check(good, SKS).ok
+
+
+def test_checked_ks_plus_subtree_rechecked_as_ks():
+    rng = random.Random(5)
+    while True:
+        d = random_ks_plus_proof(rng, steps=8)
+        census = rule_census(d)
+        if census.get(AWU, 0) and census.get(ACU, 0):
+            break
+    assert check(d, KS_PLUS).ok
+    report = check(d, KS)
+    assert not report.ok
+    assert report_errors(report) == full_walk_errors(d, KS)
+    ups = [node.rule for node in iter_nodes(d) if node.kind == STEP and node.rule in (AWU, ACU)]
+    assert [(e.code, e.rule) for e in report.errors] == [("rule-not-in-system", r) for r in ups]
+    assert check(d, KS_PLUS).ok
+
+
+def test_recheck_matches_only_new_steps(monkeypatch):
+    from deepflow.flow import extract
+    from deepflow.lift import _rebuild, _surgery_for
+    from deepflow.rewrite import NORM, scan_redexes
+    from deepflow.simulations import php_ksplus
+
+    d = php_ksplus(2, "F")
+    assert check(d, KS_PLUS).ok
+    ext = extract(d, assume_checked=True)
+    redex = scan_redexes(ext.flow, NORM)[0]
+    trie = {}
+    _surgery_for({id(None): trie}, d, ext, redex, ext.raw_segments([redex.edge])[redex.edge])
+    new = _rebuild(d, trie)
+    old_nodes = {id(n) for n in iter_nodes(d)}
+    new_steps = [n for n in iter_nodes(new) if id(n) not in old_nodes and n.kind == STEP]
+    assert 0 < len(new_steps) < len(old_nodes) / 10
+    calls = []
+    match = derivation._match_step
+
+    def counting(rule, cn_up, pr_lo):
+        calls.append(rule)
+        return match(rule, cn_up, pr_lo)
+
+    monkeypatch.setattr(derivation, "_match_step", counting)
+    assert check(new, SKS).ok
+    assert len(calls) == len(new_steps)
+    # a repeated check of the same object matches nothing
+    calls.clear()
+    assert check(new, SKS).ok and check(new, KS_PLUS).ok
+    assert calls == []
+
+
+def test_deep_eq_chain_checks(tmp_path, capsys):
+    from deepflow.cli import main
+
+    deep = tmp_path / "chain.sksd"
+    deep.write_text("(step eq " * 30000 + "(form a)" + " (form a))" * 30000 + "\n")
+    assert main(["check", str(deep)]) == 0
+    out, err = capsys.readouterr()
+    assert "PASS check" in out
+    assert "Traceback" not in out + err

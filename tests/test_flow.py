@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deepflow.derivation import (
     ACD,
@@ -16,7 +17,8 @@ from deepflow.derivation import (
     step,
 )
 from corpus import ring_layers
-from deepflow.families import demo_proof, random_derivation, random_ks_plus_proof
+from deepflow.derivation import dualize
+from deepflow.families import demo_proof, php_refutation, random_derivation, random_ks_plus_proof, res_chain
 from deepflow.flow import (
     ARITY,
     AtomicFlow,
@@ -26,10 +28,15 @@ from deepflow.flow import (
     flip_dual,
     from_json,
     iso,
+    path_of,
     to_dot,
     to_json,
     validate,
 )
+from deepflow.lift import normalize_proof
+from deepflow.resolution import simulate
+from deepflow.simulations import php_ksplus
+from reference_extract import reference_extract
 from deepflow.formula import conj, disj, lit, neg, top
 
 a, b = lit("a"), lit("b")
@@ -257,3 +264,52 @@ def test_switch_threading():
     ext = extract(d)
     assert ext.flow.kind_census() == {}
     assert ext.flow.n_edges == 3
+
+
+def assert_matches_reference(d):
+    """extract gives the reference kernel's flow, node paths and occurrences."""
+    ext = extract(d, assume_checked=True)
+    flow, segments, node_paths = reference_extract(d)
+    assert to_json(ext.flow) == to_json(flow)
+    assert list(ext.flow.nodes) == list(flow.nodes)
+    assert list(ext.flow.edges) == list(flow.edges)
+    assert {n: ext.node_path(n) for n in ext.flow.nodes} == node_paths
+    occurrences = ext.raw_segments(list(ext.flow.edges))
+    assert {e: {(path_of(p), i) for p, i in occ} for e, occ in occurrences.items()} == segments
+    for e in list(ext.flow.edges)[:3]:
+        assert set(ext.segment(e)) == segments[e]
+    return ext
+
+
+@given(st.integers(0, 2**32), st.integers(2, 10))
+@settings(max_examples=60, deadline=None)
+def test_extract_matches_reference_on_random_proofs(seed, steps):
+    p = random_ks_plus_proof(random.Random(seed), steps=steps)
+    assert_matches_reference(p)
+    # upside down, the proof has up steps and cuts
+    assert_matches_reference(dualize(p))
+
+
+def test_extract_matches_reference_below_structural_steps():
+    # the demo proof has identity steps whose lower parts hold further
+    # structural steps, so post-order differs from step order there
+    for d in (demo_proof(), dualize(demo_proof())):
+        assert_matches_reference(d)
+
+
+@pytest.mark.parametrize("variant", ["F", "O", "OF"])
+def test_extract_matches_reference_on_php(variant):
+    p = php_ksplus(2, variant)
+    assert_matches_reference(p)
+    assert_matches_reference(normalize_proof(p))
+
+
+@pytest.mark.parametrize(
+    "refutation",
+    [lambda: res_chain(3), lambda: res_chain(24), lambda: php_refutation(), lambda: php_refutation(multiset=True)],
+    ids=["chain-3", "chain-24", "php", "php-multiset"],
+)
+def test_extract_matches_reference_on_resolution(refutation):
+    ks, ks_plus, r_der = simulate(*refutation(), with_proofs=True)
+    for d in (ks, ks_plus, r_der):
+        assert_matches_reference(d)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from deepflow.formula import (
     AND,
+    Formula,
     OR,
     FormulaSyntaxError,
     UndefinedVariableError,
@@ -23,7 +24,9 @@ from deepflow.formula import (
     is_tautology,
     lit,
     mirror_dual,
+    n_occurrences,
     neg,
+    replace_occurrences,
     top,
     variables,
 )
@@ -214,3 +217,48 @@ def test_canonicalize_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def replace_occurrences_reference(f, repl):
+    """The recursive rebuild of every subformula, kept as the reference."""
+    counter = [0]
+
+    def rec(g):
+        if g.kind == "lit":
+            i = counter[0]
+            counter[0] += 1
+            return repl.get(i, g)
+        if g.kind in ("top", "bot"):
+            return g
+        return Formula(g.kind, rec(g.a), rec(g.b))
+
+    return rec(f)
+
+
+@given(formulas, st.lists(st.tuples(st.integers(-2, 14), formulas), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_replace_occurrences_matches_reference(f, pairs):
+    repl = dict(pairs)
+    assert replace_occurrences(f, repl) is replace_occurrences_reference(f, repl)
+
+
+def test_replace_occurrences_keeps_untouched_subformulas():
+    left = conj(lit("a"), disj(lit("b"), lit("c")))
+    right = disj(lit("d"), lit("e"))
+    out = replace_occurrences(conj(left, right), {3: top})
+    assert out == conj(left, disj(top, lit("e")))
+    assert out.a is left
+
+
+def test_replace_occurrences_deep():
+    n = 30000
+    f = fparse("(" * n + "a" + "&b)" * n)
+    assert n_occurrences(f) == n + 1
+    out = replace_occurrences(f, {0: lit("c"), n: top})
+    assert out.b is top
+    g = out.a
+    for _ in range(n - 2):
+        assert g.b is lit("b")
+        g = g.a
+    assert g == conj(lit("c"), lit("b"))
+    assert fprint(replace_occurrences(f, {})) == fprint(f)

@@ -19,3 +19,21 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 ]
     assert not found, found
+
+
+def test_node_fields_are_set_only_at_construction():
+    """The caches on formula and derivation nodes are sound only while no
+    node changes: no code stores to .a, .b, .rule or .kind outside
+    __init__ and __new__."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__new__"):
+                allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                if node.attr in ("a", "b", "rule", "kind") and id(node) not in allowed:
+                    found.append(f"{path.name}:{node.lineno} stores .{node.attr}")
+    assert not found, found
