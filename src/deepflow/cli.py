@@ -50,9 +50,9 @@ def _digest(data: bytes) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", 2)
 
 

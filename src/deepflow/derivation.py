@@ -14,6 +14,7 @@ tree occurrences, not distinct objects.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -25,13 +26,13 @@ from .formula import (
     disj,
     dual,
     eq_mod,
-    fparse,
     fprint,
     is_literal,
-    lit,
     mirror_dual,
     n_occurrences,
     neg,
+    read_formula,
+    token_position,
     top,
 )
 
@@ -67,7 +68,11 @@ LEAF, COMP, STEP = "leaf", "comp", "step"
 
 
 class Derivation:
-    """Leaf(formula) | Compose(connective, left, right) | Step(rule, upper, lower)."""
+    """Leaf(formula) | Compose(connective, left, right) | Step(rule, upper, lower).
+
+    Nodes are immutable and built children first, so each node takes its
+    premiss, conclusion and size from its children when it is built.
+    """
 
     __slots__ = ("kind", "rule", "a", "b", "_pr", "_cn", "_size", "_valid")
 
@@ -76,9 +81,17 @@ class Derivation:
         self.rule = rule
         self.a = a
         self.b = b
-        self._pr = None
-        self._cn = None
-        self._size = None
+        if kind == LEAF:
+            self._pr = self._cn = a
+            self._size = n_occurrences(a)
+        elif kind == COMP:
+            self._pr = Formula(rule, a._pr, b._pr)
+            self._cn = Formula(rule, a._cn, b._cn)
+            self._size = a._size + b._size
+        else:
+            self._pr = a._pr
+            self._cn = b._cn
+            self._size = a._size + b._size
         self._valid = None  # see check
 
     def __repr__(self):
@@ -141,31 +154,16 @@ def bottom_up(d: Derivation, f, cached=None):
 
 
 def endpoints(d: Derivation):
-    """(premiss, conclusion) of a derivation, cached on the nodes."""
-    if d._pr is not None:
-        return d._pr, d._cn
-
-    def f(node, va, vb):
-        if node.kind == LEAF:
-            pr = cn = node.a
-        elif node.kind == COMP:
-            pr = Formula(node.rule, va[0], vb[0])
-            cn = Formula(node.rule, va[1], vb[1])
-        else:
-            pr = va[0]
-            cn = vb[1]
-        node._pr, node._cn = pr, cn
-        return pr, cn
-
-    return bottom_up(d, f, lambda n: None if n._pr is None else (n._pr, n._cn))
+    """(premiss, conclusion) of a derivation."""
+    return d._pr, d._cn
 
 
 def premiss(d: Derivation) -> Formula:
-    return endpoints(d)[0]
+    return d._pr
 
 
 def conclusion(d: Derivation) -> Formula:
-    return endpoints(d)[1]
+    return d._cn
 
 
 def is_proof(d: Derivation) -> bool:
@@ -174,15 +172,7 @@ def is_proof(d: Derivation) -> bool:
 
 def size(d: Derivation) -> int:
     """Number of atom occurrences over all leaf formulas (tree multiplicity)."""
-    if d._size is not None:
-        return d._size
-
-    def f(node, va, vb):
-        n = n_occurrences(node.a) if node.kind == LEAF else va + vb
-        node._size = n
-        return n
-
-    return bottom_up(d, f, lambda n: n._size)
+    return d._size
 
 
 def step_count(d: Derivation) -> int:
@@ -353,7 +343,6 @@ def check(d: Derivation, system=SKS) -> CheckReport:
     """
     mask = d._valid
     if mask is None:
-        endpoints(d)  # in one walk, not one per step
         mask = bottom_up(d, _verdict, lambda n: n._valid)
     allowed = _RULE_BIT[EQ]
     for rule in system:
@@ -689,104 +678,67 @@ _RULE_TOKENS = {AID, AWD, ACD, S, M, AIU, AWU, ACU, EQ}
 
 
 class SksdSyntaxError(ValueError):
-    pass
+    def __init__(self, msg, pos):
+        super().__init__(f"{msg} at position {pos}")
+        self.pos = pos
+
+
+# the formula tokens of fparse, plus comments from ";" to the end of the line,
+# which are skipped; the match at the end of the text is the empty token
+_SKSD_TOKEN = re.compile(r"(?:\s+|;[^\n]*)*(\w+|[^\s;]|\Z)")
+
+_CONNECTIVE_HEADS = {"and": AND, "or": OR}
 
 
 def dparse(text: str) -> Derivation:
     """Parse the S-expression derivation format."""
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = _SKSD_TOKEN.findall(text)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def locate(j):
+        return token_position(_SKSD_TOKEN, text, j)
 
-    stack = []  # (tag, collected children, wanted)
-    result = None
-    while True:
-        t = peek()
-        if t is None:
-            break
-        if t == "(":
-            pos += 1
-            head = peek()
-            pos += 1
-            if head == "form":
-                depth = 0
-                frag = []
-                while True:
-                    u = peek()
-                    if u is None:
-                        raise SksdSyntaxError("unterminated (form ...)")
-                    if u == "(":
-                        depth += 1
-                    elif u == ")":
-                        if depth == 0:
-                            break
-                        depth -= 1
-                    frag.append(u)
-                    pos += 1
-                pos += 1  # closing paren
-                node = leaf(fparse("".join(frag)))
-                result = _sksd_feed(stack, node)
-            elif head in ("and", "or"):
-                stack.append([AND if head == "and" else OR, [], 2, "comp"])
-                result = None
-            elif head == "step":
-                rule = peek()
-                pos += 1
-                if rule not in _RULE_TOKENS:
-                    raise SksdSyntaxError(f"unknown rule token {rule!r}")
-                stack.append([rule, [], 2, "step"])
-                result = None
-            else:
-                raise SksdSyntaxError(f"unknown form head {head!r}")
-        elif t == ")":
-            pos += 1
-            if not stack:
-                raise SksdSyntaxError("unbalanced ')'")
-            tag, kids, want, sort = stack.pop()
-            if len(kids) != want:
-                raise SksdSyntaxError(f"({sort} ...) needs {want} children")
-            node = compose(tag, *kids) if sort == "comp" else step(tag, *kids)
-            result = _sksd_feed(stack, node)
-        else:
-            raise SksdSyntaxError(f"unexpected token {t!r}")
-        if result is not None and not stack:
-            # complete top-level derivation; ensure no trailing garbage
-            if pos != len(tokens):
-                raise SksdSyntaxError("trailing input after derivation")
-            return result
-    raise SksdSyntaxError("incomplete derivation")
-
-
-def _sksd_feed(stack, node):
-    if not stack:
-        return node
-    stack[-1][1].append(node)
-    return None
-
-
-def _tokenize(text: str):
-    out = []
+    stack = []  # per open (and|or|step ...): [kind, connective or rule, children]
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
+    while True:
+        t = tokens[i]
+        if t == "(":
+            head = tokens[i + 1]
+            if head == "form":
+                f, i = read_formula(tokens, i + 2, locate)
+                if tokens[i] != ")":
+                    raise SksdSyntaxError("expected ')' after the formula", locate(i))
                 i += 1
-        elif c.isspace():
+                node = Derivation(LEAF, a=f)
+            elif head == "step":
+                rule = tokens[i + 2]
+                if rule not in _RULE_TOKENS:
+                    raise SksdSyntaxError(f"unknown rule token {rule!r}", locate(i + 2))
+                stack.append([STEP, rule, []])
+                i += 3
+                continue
+            elif head in _CONNECTIVE_HEADS:
+                stack.append([COMP, _CONNECTIVE_HEADS[head], []])
+                i += 2
+                continue
+            else:
+                raise SksdSyntaxError(f"unknown form head {head!r}", locate(i + 1))
+        elif t == ")":
+            if not stack:
+                raise SksdSyntaxError("unbalanced ')'", locate(i))
+            kind, rule, kids = stack.pop()
+            if len(kids) != 2:
+                raise SksdSyntaxError(f"({kind} ...) needs 2 children", locate(i))
             i += 1
-        elif c in "()":
-            out.append(c)
-            i += 1
+            node = Derivation(kind, rule, *kids)
+        elif t:
+            raise SksdSyntaxError(f"unexpected token {t!r}", locate(i))
         else:
-            j = i
-            while j < n and (not text[j].isspace()) and text[j] not in "();":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+            raise SksdSyntaxError("incomplete derivation", locate(i))
+        if not stack:
+            if tokens[i]:
+                raise SksdSyntaxError("trailing input after derivation", locate(i))
+            return node
+        stack[-1][2].append(node)
 
 
 def dprint(d: Derivation) -> str:

@@ -10,8 +10,10 @@ canonical form.
 
 from __future__ import annotations
 
+import re
 import weakref
 from bisect import bisect_left
+from itertools import islice
 
 TOP = "top"
 BOT = "bot"
@@ -103,30 +105,35 @@ def neg(f: Formula) -> Formula:
 
 def dual(f: Formula) -> Formula:
     """De Morgan dual, applied recursively; an involution."""
-    k = f.kind
-    if k == TOP:
-        return bot
-    if k == BOT:
-        return top
-    if k == LIT:
-        return Formula(LIT, f.a, not f.b)
-    if k == AND:
-        return Formula(OR, dual(f.a), dual(f.b))
-    return Formula(AND, dual(f.a), dual(f.b))
+    return _flip(f, False)
 
 
 def mirror_dual(f: Formula) -> Formula:
     """De Morgan dual with children swapped; used when flipping derivations."""
-    k = f.kind
-    if k == TOP:
-        return bot
-    if k == BOT:
-        return top
-    if k == LIT:
-        return Formula(LIT, f.a, not f.b)
-    if k == AND:
-        return Formula(OR, mirror_dual(f.b), mirror_dual(f.a))
-    return Formula(AND, mirror_dual(f.b), mirror_dual(f.a))
+    return _flip(f, True)
+
+
+_DUAL_KIND = {AND: OR, OR: AND}
+
+
+def _flip(f, swap):
+    done = []  # the flipped subformulas, left to right
+    stack = [f]  # formulas to flip, and the connectives that join them
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            b = done.pop()
+            a = done.pop()
+            done.append(Formula(g, b, a) if swap else Formula(g, a, b))
+        elif g.kind == LIT:
+            done.append(Formula(LIT, g.a, not g.b))
+        elif g.kind == TOP:
+            done.append(bot)
+        elif g.kind == BOT:
+            done.append(top)
+        else:
+            stack += (_DUAL_KIND[g.kind], g.b, g.a)
+    return done[0]
 
 
 def variables(f: Formula):
@@ -420,58 +427,71 @@ class FormulaSyntaxError(ValueError):
         self.pos = pos
 
 
-def fparse(text: str) -> Formula:
-    pos = 0
-    n = len(text)
+# one token per match: a word, or any other single non-space character; the
+# match at the end of the text is the empty token, which ends every list
+_TOKEN = re.compile(r"\s*(\w+|\S|\Z)")
 
-    def skip():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+_CONNECTIVE = {"&": AND, "|": OR}
 
-    def ident():
-        nonlocal pos
-        start = pos
-        if pos >= n or not (text[pos].isalpha()):
-            raise FormulaSyntaxError("expected identifier", pos)
-        pos += 1
-        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        return text[start:pos]
 
+def token_position(pattern, text, i):
+    """Text position of token i of ``pattern.findall(text)``, where the
+    pattern's one group is the token.
+
+    The text is scanned again, so call this only to report an error.
+    """
+    return next(islice(pattern.finditer(text), i, None)).start(1)
+
+
+def read_formula(tokens, i, locate):
+    """Read one formula from tokens[i:]; return it and the index after it.
+
+    The token list ends with the empty token.  ``locate(j)`` gives the text
+    position of token j, for the FormulaSyntaxError of a malformed formula.
+    """
     # one entry per open "(": None until its left operand is read, then the
     # pair (connective, left operand) while its right operand is read
     stack = []
     while True:
-        skip()
-        if pos >= n:
-            raise FormulaSyntaxError("unexpected end of input", pos)
-        if text[pos] == "(":
-            pos += 1
+        t = tokens[i]
+        i += 1
+        if t == "(":
             stack.append(None)
             continue
-        if text[pos] == "~":
-            pos += 1
-            skip()
-            f = lit(ident(), True)
+        if t == "~":
+            t = tokens[i]
+            i += 1
+            if not t[:1].isalpha():
+                raise FormulaSyntaxError("expected identifier", locate(i - 1))
+            f = Formula(LIT, t, True)
+        elif t[:1].isalpha():
+            f = top if t == "T" else bot if t == "F" else Formula(LIT, t, False)
+        elif t:
+            raise FormulaSyntaxError("expected identifier", locate(i - 1))
         else:
-            name = ident()
-            f = top if name == "T" else bot if name == "F" else lit(name)
+            raise FormulaSyntaxError("unexpected end of input", locate(i - 1))
         while stack and stack[-1] is not None:
             kind, left = stack.pop()
-            skip()
-            if pos >= n or text[pos] != ")":
-                raise FormulaSyntaxError("expected ')'", pos)
-            pos += 1
+            if tokens[i] != ")":
+                raise FormulaSyntaxError("expected ')'", locate(i))
+            i += 1
             f = Formula(kind, left, f)
         if not stack:
-            break
-        skip()
-        if pos >= n or text[pos] not in "&|":
-            raise FormulaSyntaxError("expected '&' or '|'", pos)
-        stack[-1] = (AND if text[pos] == "&" else OR, f)
-        pos += 1
-    skip()
-    if pos != n:
-        raise FormulaSyntaxError("trailing input", pos)
+            return f, i
+        kind = _CONNECTIVE.get(tokens[i])
+        if kind is None:
+            raise FormulaSyntaxError("expected '&' or '|'", locate(i))
+        stack[-1] = (kind, f)
+        i += 1
+
+
+def fparse(text: str) -> Formula:
+    tokens = _TOKEN.findall(text)
+
+    def locate(j):
+        return token_position(_TOKEN, text, j)
+
+    f, i = read_formula(tokens, 0, locate)
+    if tokens[i]:
+        raise FormulaSyntaxError("trailing input", locate(i))
     return f

@@ -27,6 +27,25 @@ def test_check_exit_codes(tmp_path, demo_path, capsys):
     assert main(["check", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("text, pos", [("(form x y)", 8), ("(form (a & b) c)", 14)])
+def test_check_rejects_two_formulas_in_one_form(tmp_path, capsys, text, pos):
+    bad = tmp_path / "bad.sksd"
+    bad.write_text(text)
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: parse error in {bad}: expected ')' after the formula at position {pos}\n"
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.sksd"
+    bad.write_bytes(b"(form a\xff)")
+    for argv in (["check", str(bad)], ["metrics", str(bad)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in out + err
+
+
 def test_check_deeply_nested_formula(tmp_path, capsys):
     deep = tmp_path / "deep.sksd"
     deep.write_text("(form " + "(" * 30000 + "a" + "&a)" * 30000 + ")\n")

@@ -1,7 +1,9 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deepflow import derivation
 from deepflow.derivation import (
@@ -18,11 +20,14 @@ from deepflow.derivation import (
     GWD,
     GWU,
     KS,
+    COMP,
+    LEAF,
     STEP,
     KS_PLUS,
     M,
     S,
     SKS,
+    SksdSyntaxError,
     SubstitutionError,
     check,
     compose,
@@ -50,6 +55,8 @@ from deepflow.families import demo_proof, random_derivation, random_ks_plus_proo
 from deepflow.formula import (
     AND,
     OR,
+    Formula,
+    FormulaSyntaxError,
     bot,
     conj,
     disj,
@@ -59,6 +66,7 @@ from deepflow.formula import (
     lit,
     mirror_dual,
     neg,
+    occurrence_literals,
     top,
     variables,
 )
@@ -177,40 +185,48 @@ def test_size_examples():
     assert size(demo_proof()) == 36
 
 
-def _leaves(n, var):
-    """A balanced composition of n distinct leaves, so nothing is shared."""
-    ds = [leaf(lit(f"{var}{i}")) for i in range(n)]
-    while len(ds) > 1:
-        ds = [compose(AND, x, y) for x, y in zip(ds[::2], ds[1::2])] + ds[len(ds) - len(ds) % 2 :]
-    return ds[0]
+def _reference_endpoints_and_size(d):
+    """The recursive definition of premiss, conclusion and size, evaluated
+    children first over iter_nodes so that deep chains need no recursion."""
+    val = {}
+    for node in iter_nodes(d):
+        if node.kind == LEAF:
+            v = (node.a, node.a, len(occurrence_literals(node.a)))
+        else:
+            (pa, ca, sa), (pb, cb, sb) = val[id(node.a)], val[id(node.b)]
+            if node.kind == COMP:
+                v = (Formula(node.rule, pa, pb), Formula(node.rule, ca, cb), sa + sb)
+            else:
+                v = (pa, cb, sa + sb)
+        val[id(node)] = v
+    return val[id(d)]
 
 
-def test_cached_walks_stop_at_evaluated_subtrees(monkeypatch):
-    from deepflow import derivation
+def _assert_set_at_construction(ds):
+    """endpoints and size of each derivation read what its root holds, and
+    agree with the reference."""
+    refs = [_reference_endpoints_and_size(d) for d in ds]
 
-    evaluated = []
-    walk = derivation.bottom_up
+    def no_walk(*args, **kwargs):
+        raise AssertionError("bottom_up called")
 
-    def counting(d, f, *rest):
-        def g(node, va, vb):
-            evaluated.append(node)
-            return f(node, va, vb)
+    with mock.patch.object(derivation, "bottom_up", no_walk):
+        for d, (pr, cn, n) in zip(ds, refs):
+            assert endpoints(d) == (pr, cn)
+            assert (premiss(d), conclusion(d), size(d)) == (pr, cn, n)
 
-        return walk(d, g, *rest)
 
-    monkeypatch.setattr(derivation, "bottom_up", counting)
-    for n in (16, 1024):
-        x, y = _leaves(n, "p"), _leaves(n, "q")
-        for d in (x, y):
-            endpoints(d)
-            size(d)
-        for root in (compose(OR, x, y), step(S, x, y)):
-            evaluated.clear()
-            pr, cn = endpoints(root)
-            assert size(root) == 2 * n
-            # one evaluation each for endpoints and size, whatever n is
-            assert evaluated == [root, root]
-        assert (pr, cn) == (conclusion(x), conclusion(y))
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_endpoints_and_size_are_set_at_construction(rnd):
+    ds = [random_ks_plus_proof(rnd, steps=8), random_derivation(rnd, steps=6)]
+    _assert_set_at_construction(ds + [dualize(d) for d in ds])
+
+
+def test_deep_chain_endpoints_and_size():
+    chain = dparse("(step eq " * 30000 + "(form a)" + " (form a))" * 30000)
+    _assert_set_at_construction([chain])
+    assert (premiss(chain), conclusion(chain), size(chain)) == (a, a, 30001)
 
 
 def test_step_count_separate_from_size():
@@ -282,13 +298,64 @@ def test_sksd_round_trip():
     assert endpoints(dparse(text)) == endpoints(d)
 
 
-def test_sksd_errors():
-    from deepflow.derivation import SksdSyntaxError
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_sksd_round_trip_random(rnd):
+    d = random_ks_plus_proof(rnd, steps=8)
+    text = dprint(d)
+    back = dparse(text)
+    assert dprint(back) == text
+    assert endpoints(back) == endpoints(d)
 
-    with pytest.raises(SksdSyntaxError):
-        dparse("(and (form a)")
-    with pytest.raises(SksdSyntaxError):
-        dparse("(step nosuch (form a) (form a))")
+
+def test_sksd_errors():
+    for text, msg, pos in [
+        ("(and (form a)", "incomplete derivation", 13),
+        ("(step nosuch (form a) (form a))", "unknown rule token 'nosuch'", 6),
+        ("(form x y)", "expected ')' after the formula", 8),
+        ("(form (a & b) c)", "expected ')' after the formula", 14),
+        ("(or (form a) (form b) (form c))", "(comp ...) needs 2 children", 30),
+        ("(form a) ; done\n (form b)", "trailing input after derivation", 17),
+        ("(frm a)", "unknown form head 'frm'", 1),
+        (")", "unbalanced ')'", 0),
+    ]:
+        with pytest.raises(SksdSyntaxError) as exc:
+            dparse(text)
+        assert str(exc.value) == f"{msg} at position {pos}"
+    # a formula error gives its position in the file
+    with pytest.raises(FormulaSyntaxError) as exc:
+        dparse("(and (form a)\n  (form (a | ; b\n b & c)))")
+    assert str(exc.value) == "expected ')' at position 34"
+
+
+SOUP = ["(", ")", "form", "and", "or", "step", "eq", "s", "aid", "nosuch", "a", "b", "~", "&", "|",
+        "T", "F", ";", "\n", " ", "x\u00b2", "1", "#", "(form a)", "(form (a|b))"]
+
+
+@st.composite
+def sksd_soup(draw):
+    """Token soup, or the text of a proof with tokens inserted and spans cut."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(SOUP), max_size=40)))
+    text = dprint(random_ks_plus_proof(draw(st.randoms(use_true_random=False)), steps=3))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(SOUP)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 6)):]
+    return text
+
+
+@given(sksd_soup())
+@settings(max_examples=300, deadline=None)
+def test_dparse_raises_only_syntax_errors(text):
+    try:
+        d = dparse(text)
+    except (SksdSyntaxError, FormulaSyntaxError) as exc:
+        assert 0 <= exc.pos <= len(text)
+    else:
+        assert dprint(dparse(dprint(d))) == dprint(d)
 
 
 def full_walk_errors(d, system):

@@ -30,6 +30,7 @@ from deepflow.formula import (
     top,
     variables,
 )
+from reference_fparse import reference_fparse
 
 formulas = st.recursive(
     st.sampled_from([top, bot])
@@ -97,11 +98,32 @@ def test_parse_print_round_trip():
         fparse("a b")
 
 
+def _flipped(f, swap):
+    """The recursive definition of dual (swap false) and mirror_dual."""
+    if f.kind in ("top", "bot"):
+        return bot if f is top else top
+    if f.kind == "lit":
+        return neg(f)
+    a, b = _flipped(f.a, swap), _flipped(f.b, swap)
+    return Formula(OR if f.kind == AND else AND, *((b, a) if swap else (a, b)))
+
+
 @given(formulas)
 @settings(max_examples=80, deadline=None)
 def test_dual_involution(f):
+    assert dual(f) is _flipped(f, False)
+    assert mirror_dual(f) is _flipped(f, True)
     assert dual(dual(f)) == f
     assert mirror_dual(mirror_dual(f)) == f
+
+
+def test_dual_deep():
+    n = 30000
+    f = fparse("(" * n + "a" + "&b)" * n)
+    assert fprint(dual(f)) == "(" * n + "~a" + "|~b)" * n
+    assert fprint(mirror_dual(f)) == "(~b|" * n + "~a" + ")" * n
+    assert dual(dual(f)) is f
+    assert mirror_dual(mirror_dual(f)) is f
 
 
 @given(formulas)
@@ -152,6 +174,37 @@ def test_occurrence_map_is_bijective(f):
 def test_formulas_are_interned(f):
     assert fparse(fprint(f)) is f
     assert dual(dual(f)) is f
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.pos
+
+
+@given(st.text(alphabet="()&|~ ;TFab_1x\u00b2\t\n", max_size=30))
+@settings(max_examples=400, deadline=None)
+def test_fparse_matches_the_reference_on_any_text(text):
+    assert _parse_outcome(fparse, text) == _parse_outcome(reference_fparse, text)
+
+
+named = st.recursive(
+    st.sampled_from([top, bot])
+    | st.builds(lit, st.sampled_from(["a", "x\u00b2", "a_1", "T1", "Fb"]), st.booleans()),
+    lambda kids: st.builds(conj, kids, kids) | st.builds(disj, kids, kids),
+    max_leaves=12,
+)
+
+
+@given(named, st.lists(st.tuples(st.integers(0, 80), st.sampled_from([" ", "\t", "\n  "])), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_fparse_matches_the_reference_on_formulas(f, spaces):
+    text = fprint(f)
+    assert fparse(text) is f
+    for at, space in spaces:
+        text = text[:at] + space + text[at:]
+    assert _parse_outcome(fparse, text) == _parse_outcome(reference_fparse, text)
 
 
 def test_equal_literals_are_one_node():
