@@ -127,7 +127,7 @@ def cmd_flow(args, report):
     if not result.ok:
         report["assertions"].append(("check", False, "input does not check in SKS"))
         return 1
-    ext = extract(d, assume_checked=True)
+    ext = extract(d)
     if args.dot:
         _write(args.dot, to_dot(ext.flow), report)
     if args.json_file:
@@ -154,7 +154,7 @@ def cmd_normalize(args, report):
         return 1
     _write(args.out, dprint(out), report)
     if args.trace:
-        _, trace = normalize(extract(d, assume_checked=True).flow)
+        _, trace = normalize(extract(d).flow)
         _write(args.trace, trace_to_json(trace), report)
     return 0
 
@@ -176,7 +176,7 @@ def cmd_metrics(args, report):
         if not result.ok:
             report["assertions"].append(("check", False, "input does not check in SKS"))
             return 1
-        flow = extract(d, assume_checked=True).flow
+        flow = extract(d).flow
     try:
         report["metrics"] = metrics_record(flow)
     except PathCountDivergence as exc:
@@ -270,12 +270,12 @@ def cmd_bench(args, report):
             p = php_ksplus(n, args.variant, cap=max(3, n))
             out, nrep = normalize_proof(p, with_report=True)
             row = (n, nrep.input_size, nrep.output_size, nrep.wk_steps, nrep.cont_steps,
-                   open_ai_paths(extract(p, assume_checked=True).flow))
+                   open_ai_paths(extract(p).flow))
         elif args.family == "res-chain":
             pi, axioms = families.res_chain(n)
             proof = simulate(pi, axioms)
             in_size = sum(t.size for c in axioms for t in c.elements)
-            row = (n, in_size, size(proof), "", "", open_ai_paths(extract(proof, assume_checked=True).flow))
+            row = (n, in_size, size(proof), "", "", open_ai_paths(extract(proof).flow))
         else:
             raise CliError(f"unknown family {args.family!r}", 2)
         millis = int((time.time() - t0) * 1000)

@@ -50,18 +50,18 @@ AID, AWD, ACD, AIU, AWU, ACU, S, M, EQ = (
 )
 
 STRUCTURAL = frozenset({AID, AWD, ACD, AIU, AWU, ACU})
-DOWN_FRAGMENT = frozenset({AID, AWD, ACD})
-UP_FRAGMENT = frozenset({AIU, AWU, ACU})
 
 KS = frozenset({AID, AWD, ACD, S, M, EQ})
 KS_PLUS = KS | {AWU, ACU}
 SKS = KS_PLUS | {AIU}
 
-_DUAL_RULE = {AID: AIU, AIU: AID, AWD: AWU, AWU: AWD, ACD: ACU, ACU: ACD, S: S, M: M, EQ: EQ}
+# each rule's upside-down counterpart; on the structural rules, the dual flow
+# node kind
+DUAL_RULE = {AID: AIU, AIU: AID, AWD: AWU, AWU: AWD, ACD: ACU, ACU: ACD, S: S, M: M, EQ: EQ}
 
 
 def dual_system(system):
-    return frozenset(_DUAL_RULE[r] for r in system)
+    return frozenset(DUAL_RULE[r] for r in system)
 
 
 LEAF, COMP, STEP = "leaf", "comp", "step"
@@ -464,7 +464,7 @@ def dualize(d: Derivation) -> Derivation:
             return leaf(mirror_dual(node.a))
         if node.kind == COMP:
             return compose(AND if node.rule == OR else OR, vb, va)
-        return step(_DUAL_RULE[node.rule], vb, va)
+        return step(DUAL_RULE[node.rule], vb, va)
 
     return bottom_up(d, f)
 

@@ -95,13 +95,8 @@ def cubic_topmost_edges(flow: AtomicFlow):
 def max_ai_paths_flow() -> AtomicFlow:
     """A maximal-path showcase: five open paths, one blocked by a weakening;
     edge ids run 0..9."""
-    fb = FlowBuilder()
-    na = fb.node(AID)  # 0
-    nb = fb.node(AID)  # 1
-    nc = fb.node(ACD)  # 2
-    nu = fb.node(ACU)  # 3
-    ni = fb.node(AIU)  # 4
-    nw = fb.node(AWD)  # 5
+    na, nb, nc, nu, ni, nw = range(6)
+    nodes = {na: AID, nb: AID, nc: ACD, nu: ACU, ni: AIU, nw: AWD}
     edges = {
         0: ((nw, 0), None),
         1: (None, None),
@@ -114,8 +109,7 @@ def max_ai_paths_flow() -> AtomicFlow:
         8: ((nu, 0), None),
         9: ((nu, 1), None),
     }
-    flow = AtomicFlow(fb.build(validated=False).nodes, {})
-    return AtomicFlow(flow.nodes, edges)
+    return AtomicFlow(nodes, edges)
 
 
 def contraction_loop_flow(star: bool = True):

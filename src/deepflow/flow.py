@@ -25,6 +25,7 @@ from .derivation import (
     AWD,
     AWU,
     COMP,
+    DUAL_RULE,
     EQ,
     LEAF,
     S,
@@ -48,9 +49,6 @@ ARITY = {
     AWU: (1, 0),
     ACU: (1, 2),
 }
-
-DUAL_KIND = {AID: AIU, AIU: AID, AWD: AWU, AWU: AWD, ACD: ACU, ACU: ACD}
-
 
 class AtomicFlow:
     """Immutable-by-convention port graph.
@@ -129,10 +127,9 @@ class FlowBuilder:
         self._edges[e] = (src, tgt)
         return e
 
-    def build(self, validated=True) -> AtomicFlow:
+    def build(self) -> AtomicFlow:
         f = AtomicFlow(self._nodes, self._edges)
-        if validated:
-            require_valid(f)
+        require_valid(f)
         return f
 
 
@@ -234,7 +231,7 @@ class Extraction:
         self._ids = ids  # flow edge -> edge id
         self._node_paths = node_paths
 
-    def raw_segments(self, edges):
+    def segments(self, edges):
         """Occurrences on each of the edges, as a dict from edge to a list of
         (path node, in-order occ index) pairs in leaf order."""
         want = {self._ids[e]: [] for e in edges}
@@ -245,16 +242,9 @@ class Extraction:
                         want[x].append((pathnode, i))
         return {e: want[self._ids[e]] for e in edges}
 
-    def segment(self, edge):
-        """Occurrences on an edge as (derivation path, in-order occ index) pairs."""
-        return [(path_of(p), i) for p, i in self.raw_segments((edge,))[edge]]
-
-    def raw_node_path(self, node):
+    def node_path(self, node):
         """The path node of the step a flow node came from."""
         return self._node_paths[node]
-
-    def node_path(self, node):
-        return path_of(self._node_paths[node])
 
 
 def path_of(pathnode):
@@ -267,8 +257,9 @@ def path_of(pathnode):
     return tuple(out)
 
 
-def extract(d: Derivation, assume_checked: bool = False) -> Extraction:
-    """Extract the atomic flow of a checked SKS derivation.
+def extract(d: Derivation) -> Extraction:
+    """Extract the atomic flow of an SKS derivation, which is checked first
+    (in O(1) when it has been checked already).
 
     One walk in tree order hands each subderivation the edges of its premiss
     occurrences and collects the edges of its conclusion occurrences: a leaf
@@ -277,8 +268,7 @@ def extract(d: Derivation, assume_checked: bool = False) -> Extraction:
     edges below it.  Edges are numbered by their first occurrence in
     left-to-right leaf order, nodes in post-order of their steps.
     """
-    if not assume_checked:
-        ensure_checked(d, SKS)
+    ensure_checked(d, SKS)
 
     src = []  # per edge id, in creation order
     tgt = []
@@ -383,7 +373,7 @@ def _permute(rule, node, upper):
 
 def flip_dual(flow: AtomicFlow) -> AtomicFlow:
     """The flow turned upside down with every node kind replaced by its dual."""
-    nodes = {n: DUAL_KIND[k] for n, k in flow.nodes.items()}
+    nodes = {n: DUAL_RULE[k] for n, k in flow.nodes.items()}
     edges = {e: (tgt, src) for e, (src, tgt) in flow.edges.items()}
     return AtomicFlow(nodes, edges)
 
@@ -557,7 +547,9 @@ def from_json(text: str) -> AtomicFlow:
             s = None if e["from"] == PENDING_TOP else (int(e["from"][0]), int(e["from"][1]))
             t = None if e["to"] == PENDING_BOTTOM else (int(e["to"][0]), int(e["to"][1]))
             edges.append((int(e["id"]), (s, t)))
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, OverflowError, RecursionError) as exc:
+        # OverflowError: an id of Infinity; RecursionError: json.loads on
+        # too deeply nested input
         raise ValueError(f"invalid flow JSON: malformed ({exc!r})") from exc
     for what, items in (("node", nodes), ("edge", edges)):
         seen = set()

@@ -256,11 +256,9 @@ class UndefinedVariableError(KeyError):
         return f"assignment does not cover variable {self.var!r}"
 
 
-def is_tautology(f: Formula, max_vars: int | None = None) -> bool:
-    """Exhaustive truth-table check; refuses formulas over too many variables."""
+def is_tautology(f: Formula) -> bool:
+    """Exhaustive truth-table check."""
     vs = sorted(variables(f))
-    if max_vars is not None and len(vs) > max_vars:
-        raise ValueError(f"refusing exhaustive check over {len(vs)} > {max_vars} variables")
     for bits in range(1 << len(vs)):
         alpha = {v: bool((bits >> i) & 1) for i, v in enumerate(vs)}
         if not evaluate(f, alpha):

@@ -8,9 +8,10 @@ eq steps and small blocks of atomic rules.  Occurrence positions come from
 the extraction's occurrence map, so only the touched paths of the derivation
 tree are rebuilt.
 
-normalize_proof drives this step by step along the weakenings-then-
-cocontractions strategy until the flow is normal, turning any KS+ proof into
-a KS proof of the same conclusion.
+normalize_proof follows rewrite's one weakenings-then-cocontractions
+strategy, wk_first_batches, and lifts each of its batches of node-disjoint
+redexes in one rebuild until the flow is normal, turning any KS+ proof into
+a KS proof of the same conclusion.  lift_step lifts a batch of one.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .derivation import (
     M,
     S,
     SKS,
-    CheckFailure,
     Derivation,
-    check,
     compose,
     conclusion,
+    endpoints,
     ensure_checked,
     glue,
     in_context,
@@ -49,7 +49,6 @@ from .formula import bot, conj, disj, occurrence_literals, replace_occurrences, 
 from .rewrite import (
     CD_CU,
     CD_WU,
-    CONT,
     CU_WU,
     ID_CU,
     ID_WU,
@@ -62,6 +61,7 @@ from .rewrite import (
     apply_redex,
     normalize,
     scan_redexes,
+    wk_first_batches,
 )
 
 
@@ -246,29 +246,34 @@ def _surgery_for(at, d: Derivation, ext: Extraction, redex: Redex, segment):
     segment, to the trie that at places path nodes in."""
     subst, repair_src, repair_tgt = _TRANSFORMS[redex.rule]
     _add_substitutions(at, segment, subst(_segment_literal(d, segment)))
-    _add_replacer(at, ext.raw_node_path(redex.src), repair_src)
-    _add_replacer(at, ext.raw_node_path(redex.tgt), repair_tgt)
+    _add_replacer(at, ext.node_path(redex.src), repair_src)
+    _add_replacer(at, ext.node_path(redex.tgt), repair_tgt)
 
 
-def lift_step(d: Derivation, redex: Redex, ext: Extraction | None = None, verify: bool = True) -> Derivation:
+def _lift_batch(d: Derivation, ext: Extraction, batch) -> Derivation:
+    """Lift node-disjoint redexes of ext.flow, the flow of d, in one rebuild;
+    the result is checked in SKS."""
+    segments = ext.segments([r.edge for r in batch])
+    trie = {}
+    at = {id(None): trie}
+    for r in batch:
+        _surgery_for(at, d, ext, r, segments[r.edge])
+    return ensure_checked(_rebuild(d, trie), SKS)
+
+
+def lift_step(d: Derivation, redex: Redex, ext: Extraction | None = None) -> Derivation:
     """Transform d so that its flow becomes the one-step reduct of redex.
 
-    Premiss and conclusion are preserved exactly; the result is re-checked,
-    and with verify on its flow is checked isomorphic to the reduct.
+    Premiss and conclusion are preserved exactly; the result is re-checked
+    and its flow checked isomorphic to the reduct.
     """
     if ext is None:
         ext = extract(d)
     reduct = apply_redex(ext.flow, redex)  # raises StaleRedexError on mismatch
-    trie = {}
-    _surgery_for({id(None): trie}, d, ext, redex, ext.raw_segments((redex.edge,))[redex.edge])
-    result = _rebuild(d, trie)
-    report = check(result, SKS)
-    if not report.ok:
-        raise CheckFailure(report)
-    if endpoints_of(result) != endpoints_of(d):
+    result = _lift_batch(d, ext, [redex])
+    if endpoints(result) != endpoints(d):
         raise LiftError("lift step changed the endpoints")
-    if verify:
-        _require_same_flow(extract(result, assume_checked=True).flow, reduct, "lifted flow", "the reduct")
+    _require_same_flow(extract(result).flow, reduct, "lifted flow", "the reduct")
     return result
 
 
@@ -276,10 +281,6 @@ def _require_same_flow(got, want, what, target):
     """Raise LiftError unless the two flows are isomorphic."""
     if not iso(got, want):
         raise LiftError(f"{what} is not isomorphic to {target}")
-
-
-def endpoints_of(d: Derivation):
-    return premiss(d), conclusion(d)
 
 
 @dataclass
@@ -296,49 +297,32 @@ class NormalizeProofReport:
 def normalize_proof(d: Derivation, with_report: bool = False):
     """Turn a KS+ proof into a KS proof of the same conclusion.
 
-    Weakening redexes are lifted until exhausted, then cocontraction ones;
-    disjoint redexes are lifted in batches between extractions.  The final
-    flow is checked redex-free and against the flow-level normal form.
+    Each batch of wk_first_batches is lifted in one pass, from the flow
+    extracted after the previous one.  The final flow is checked redex-free
+    and against the flow-level normal form.
     """
     ensure_checked(d, KS_PLUS)
     if not is_proof(d):
         raise LiftError("normalize_proof expects a proof (premiss T)")
-    ext0 = extract(d, assume_checked=True)
+    ext0 = extract(d)
     target, _ = normalize(ext0.flow, measures=False)
 
     current = d
     ext = ext0
     wk_steps = cont_steps = passes = 0
-    for sub in (WK, CONT):
-        while True:
-            redexes = scan_redexes(ext.flow, sub)
-            if not redexes:
-                break
-            passes += 1
-            batch = []
-            used = set()
-            for r in redexes:
-                if r.src in used or r.tgt in used:
-                    continue
-                batch.append(r)
-                used.add(r.src)
-                used.add(r.tgt)
-            segments = ext.raw_segments([r.edge for r in batch])
-            trie = {}
-            at = {id(None): trie}
-            for r in batch:
-                _surgery_for(at, current, ext, r, segments[r.edge])
-            applied = len(batch)
-            current = _rebuild(current, trie)
-            ensure_checked(current, SKS)
-            if sub is WK:
-                wk_steps += applied
-            else:
-                cont_steps += applied
-            ext = extract(current, assume_checked=True)
+    # wk_first_batches asks for redexes only after each pass, so the lambda
+    # reads the extraction of the current derivation
+    for sub, batch in wk_first_batches(lambda sub: scan_redexes(ext.flow, sub)):
+        passes += 1
+        if sub is WK:
+            wk_steps += len(batch)
+        else:
+            cont_steps += len(batch)
+        current = _lift_batch(current, ext, batch)
+        ext = extract(current)
 
     ensure_checked(current, KS)
-    if endpoints_of(current) != endpoints_of(d):
+    if endpoints(current) != endpoints(d):
         raise LiftError("normalization changed the endpoints")
     final = ext.flow
     if scan_redexes(final, NORM):

@@ -47,8 +47,9 @@ from .formula import (
     disj,
     disj_all,
     dual,
+    fparse,
     fprint,
-    lit,
+    is_literal,
     neg,
     top,
 )
@@ -81,13 +82,14 @@ class Term:
 
 
 def term_of(text: str) -> Term:
+    """The term of literals joined by '*', each read by fparse; a literal's
+    variable may not be T or F, which print as units."""
     parts = []
-    for tok in text.split("*"):
-        tok = tok.strip()
-        if tok.startswith("~"):
-            parts.append(lit(tok[1:], True))
-        else:
-            parts.append(lit(tok))
+    for part in text.split("*"):
+        f = fparse(part)
+        if not is_literal(f) or f.a in ("T", "F"):
+            raise ValueError(f"expected a literal, got {part!r}")
+        parts.append(f)
     return Term(tuple(parts))
 
 
@@ -494,7 +496,7 @@ def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
     ensure_checked(ks_plus_proof, KS_PLUS)
     assert is_proof(ks_plus_proof)
     if pi.tree_like:
-        loops = contraction_loops(extract(ks_plus_proof, assume_checked=True).flow)
+        loops = contraction_loops(extract(ks_plus_proof).flow)
         if loops:
             raise UnsupportedModeError(f"tree-like image has contraction loops: {loops}")
     ks_proof = normalize_proof(ks_plus_proof)
@@ -522,6 +524,12 @@ def parse_res(text: str):
             raise ResSyntaxError(f"line {lineno}: unknown id {tok!r}")
         return ids[tok]
 
+    def term(tok, lineno):
+        try:
+            return term_of(tok)
+        except ValueError as exc:
+            raise ResSyntaxError(f"line {lineno}: bad term {tok!r}: {exc}") from None
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split(";")[0].strip()
         if not line:
@@ -537,6 +545,8 @@ def parse_res(text: str):
                     pi.tree_like = True
                     rest = rest[1:]
                 elif rest[0] == "fmax" and len(rest) > 1:
+                    if not rest[1].isdecimal():
+                        raise ResSyntaxError(f"line {lineno}: bad fmax {rest[1]!r}")
                     pi.fmax = int(rest[1])
                     rest = rest[2:]
                 else:
@@ -549,21 +559,21 @@ def parse_res(text: str):
             if len(toks) < 2 or not toks[1].endswith(":"):
                 raise ResSyntaxError(f"line {lineno}: bad axiom line")
             name = toks[1][:-1]
-            clause = Clause(tuple(term_of(t) for t in toks[2:]))
+            clause = Clause(tuple(term(t, lineno) for t in toks[2:]))
             axioms.append(clause)
             ids[name] = pi.add(Axiom(len(axioms) - 1))
         elif kind == "w":
             # w <id> = wk <src> + lit ...
             if len(toks) < 6 or toks[2] != "=" or toks[3] != "wk" or toks[5] != "+":
                 raise ResSyntaxError(f"line {lineno}: bad wk line")
-            added = tuple(term_of(t) for t in toks[6:])
+            added = tuple(term(t, lineno) for t in toks[6:])
             ids[toks[1]] = pi.add(Wk(line_ref(toks[4], lineno), added))
         elif kind == "r":
             # r <id> = res <l> <r> on <pivot>
             if len(toks) != 8 or toks[2] != "=" or toks[3] != "res" or toks[6] != "on":
                 raise ResSyntaxError(f"line {lineno}: bad res line")
             ids[toks[1]] = pi.add(
-                Res(line_ref(toks[4], lineno), line_ref(toks[5], lineno), term_of(toks[7]))
+                Res(line_ref(toks[4], lineno), line_ref(toks[5], lineno), term(toks[7], lineno))
             )
         elif kind == "t":
             # t <id> = and <l> <r>

@@ -457,32 +457,23 @@ def termination_measure(flow: AtomicFlow):
     return _d_sequence(m.nodes, m.edges, m.ins), len(flow.edges)
 
 
-def _padded(a, b):
-    """a and b as tuples zero-padded to one length."""
-    n = max(len(a), len(b))
-    return tuple(a) + (0,) * (n - len(a)), tuple(b) + (0,) * (n - len(b))
-
-
 def d_sequence_less(a, b):
-    """a < b when a_k < b_k for some k and a_i <= b_i for every i > k."""
-    a, b = _padded(a, b)
-    for i in range(len(a) - 1, -1, -1):
+    """a < b when a_k < b_k for some k and a_i <= b_i for every i > k, the
+    shorter sequence padded with zeros."""
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    for i in range(n - 1, -1, -1):
         if a[i] != b[i]:
             return a[i] < b[i]
     return False
 
 
-def _pad_le(a, b):
-    pa, pb = _padded(a, b)
-    return pa == pb or d_sequence_less(pa, pb)
-
-
 def measure_less(m1, m2):
     """Strict decrease of the lexicographic product D x size."""
-    pa, pb = _padded(m1[0], m2[0])
-    if pa == pb:
-        return m1[1] < m2[1]
-    return d_sequence_less(pa, pb)
+    if d_sequence_less(m2[0], m1[0]):
+        return False
+    return d_sequence_less(m1[0], m2[0]) or m1[1] < m2[1]
 
 
 # -- normalization -------------------------------------------------------------------
@@ -492,13 +483,37 @@ class NormalizationError(AssertionError):
     pass
 
 
+def wk_first_batches(redexes_of):
+    """The weakenings-then-cocontractions strategy, as batches of redexes.
+
+    Yields (sub, batch) for sub in (WK, CONT) until redexes_of(sub), the
+    current redexes of the subsystem, is empty.  A batch takes the redexes
+    in _order greedily, skipping each that shares an anchor with one taken,
+    so it is node-disjoint and maximal.  redexes_of is called again only
+    once the caller has applied the batch and resumes the generator.
+    """
+    for sub in (WK, CONT):
+        while True:
+            redexes = sorted(redexes_of(sub), key=_order)
+            if not redexes:
+                break
+            batch = []
+            used = set()
+            for r in redexes:
+                if r.src not in used and r.tgt not in used:
+                    batch.append(r)
+                    used.add(r.src)
+                    used.add(r.tgt)
+            yield sub, batch
+
+
 def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = True):
     """Reduce to the unique normal form; returns (normal flow, trace).
 
     strategy 'wk-first' exhausts the weakening subsystem before the
-    cocontraction one; 'cont-first' greedily prefers cocontraction redexes at
-    every step (exponentially long on the tower family).  Either takes the
-    least redex in the order of scan_redexes, or the least disjoint batch.
+    cocontraction one, in the batches of wk_first_batches; 'cont-first'
+    takes one least redex at a time in the order of scan_redexes, preferring
+    cocontraction ones (exponentially long on the tower family).
 
     With measures on, every applied step is checked against the per-rule
     monotonicity facts: weakening steps shrink the flow without raising the
@@ -539,16 +554,11 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = Tru
     dist = _Distances(m) if measures else None
     d_now = dist.profile() if measures else None
 
-    def run_batch(redexes):
+    def run_batch(batch):
         nonlocal wk_steps, cont_steps, d_now
-        used = set()
-        for r in redexes:
-            if r.src in used or r.tgt in used:
-                continue
+        for r in batch:
             size_before = len(m.edges)
             m.apply(r)
-            used.add(r.src)
-            used.add(r.tgt)
             size_after = len(m.edges)
             if size_after - size_before != _SIZE_DELTA[r.rule]:
                 raise NormalizationError(f"{r.rule} changed size by {size_after - size_before}")
@@ -562,7 +572,7 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = Tru
                 if r.rule in WK:
                     if not size_after < size_before:
                         raise NormalizationError(f"wk step {r.rule} did not shrink the flow")
-                    if not _pad_le(d_after, d_before):
+                    if d_sequence_less(d_before, d_after):
                         raise NormalizationError(f"wk step {r.rule} raised the distance sequence")
                 elif r.rule == CD_CU:
                     if not measure_less((d_after, size_after), (d_before, size_before)):
@@ -578,12 +588,8 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = Tru
                 cont_steps += 1
 
     if strategy == "wk-first":
-        for sub in (WK, CONT):
-            while True:
-                redexes = sorted((r for r in index.values() if r.rule in sub), key=_order)
-                if not redexes:
-                    break
-                run_batch(redexes)
+        for _, batch in wk_first_batches(lambda sub: [r for r in index.values() if r.rule in sub]):
+            run_batch(batch)
     else:
         while heap:
             entry = heapq.heappop(heap)

@@ -236,7 +236,7 @@ def truthtable_ks(tau: Formula, max_vars: int | None = None) -> Derivation:
     from .metrics import dimensions
 
     p = truthtable_ksplus(tau, max_vars)
-    length, _, _ = dimensions(extract(p, assume_checked=True).flow)
+    length, _, _ = dimensions(extract(p).flow)
     if length > 4:
         raise AssertionError(f"table proof flow has length {length} > 4")
     return normalize_proof(p)

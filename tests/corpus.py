@@ -23,7 +23,7 @@ def ks_plus_proof_flows(count, max_edges=20, seed=11, steps=7):
     out = []
     while len(out) < count:
         p = random_ks_plus_proof(rng, steps=rng.randint(3, steps))
-        ext = extract(p, assume_checked=True)
+        ext = extract(p)
         if 0 < ext.flow.n_edges <= max_edges:
             out.append((p, ext.flow))
     return out

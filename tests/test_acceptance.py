@@ -72,8 +72,8 @@ KS_PROOF_FLOWS = []
 
 
 def _record(proof_ksplus, proof_ks):
-    f0 = extract(proof_ksplus, assume_checked=True).flow
-    f1 = extract(proof_ks, assume_checked=True).flow
+    f0 = extract(proof_ksplus).flow
+    f1 = extract(proof_ks).flow
     NORMALIZED.append((f0, f1))
     KS_PROOF_FLOWS.append(f1)
 
@@ -136,7 +136,7 @@ def test_criterion_4_path_count_laws():
     rng = random.Random(99)
     for _ in range(20):
         d = random_derivation(rng, steps=6)
-        f = extract(d, assume_checked=True).flow
+        f = extract(d).flow
         if f.n_edges <= 25:
             corpus.append(f)
     assert len(corpus) >= 100
@@ -157,7 +157,7 @@ def test_criterion_4_path_count_laws():
     # KS proof flows: open path count equals the identity count
     ks_flows = list(KS_PROOF_FLOWS)
     for p, _ in ks_plus_proof_flows(20, max_edges=18, seed=405):
-        ks_flows.append(extract(normalize_proof(p), assume_checked=True).flow)
+        ks_flows.append(extract(normalize_proof(p)).flow)
     for f in ks_flows:
         assert open_ai_paths(f) == node_count(f, AID)
     _report(4, f"DP equals brute force on {len(corpus)} flows; reductions preserve counts; "
@@ -170,7 +170,7 @@ def test_criterion_5_worked_examples():
     assert nf.kind_census() == {AID: 2, ACD: 1}
     assert iso(nf, demo_reduced_flow())
     proof = normalize_proof(demo_proof())
-    assert iso(extract(proof, assume_checked=True).flow, demo_reduced_flow())
+    assert iso(extract(proof).flow, demo_reduced_flow())
     assert open_ai_paths(max_ai_paths_flow()) == 5
     loops_flow, names = contraction_loop_flow()
     assert set(contraction_loops(loops_flow)) == {
@@ -192,7 +192,7 @@ def test_criterion_6_cubic_bound():
     for n in (2, 4, 6):
         pi, axioms = res_chain(n)
         proof, ksplus, _ = simulate(pi, axioms, with_proofs=True)
-        f = extract(ksplus, assume_checked=True).flow
+        f = extract(ksplus).flow
         assert contraction_loops(f) == []
         assert open_ai_paths(f) <= f.n_edges**3
     _report(6, "cubic family matches brute force with weights 1..n,n..1; translations obey the cube bound")
@@ -205,7 +205,7 @@ def test_criterion_7_end_to_end_simulations():
     for _ in range(100):
         tau = random_tautology(rng, max_vars=4)
         p = truthtable_ksplus(tau)
-        lengths.append(dimensions(extract(p, assume_checked=True).flow)[0])
+        lengths.append(dimensions(extract(p).flow)[0])
         ks = normalize_proof(p)
         assert check(ks, KS).ok and is_proof(ks)
         assert conclusion(ks) == tau
@@ -219,7 +219,7 @@ def test_criterion_7_end_to_end_simulations():
         pi, axioms = res_chain(n)
         proof, ksplus, rder = simulate(pi, axioms, with_proofs=True)
         assert check(proof, KS).ok
-        assert contraction_loops(extract(ksplus, assume_checked=True).flow) == []
+        assert contraction_loops(extract(ksplus).flow) == []
         in_size = sum(t.size for c in axioms for t in c.elements) + sum(
             1 for _ in pi.lines
         )
@@ -242,7 +242,7 @@ def test_criterion_7_end_to_end_simulations():
             assert rule_census(rder).get(ACD, 0) == 0
             assert rule_census(ksplus).get(ACU, 0) == 0
         else:
-            assert contraction_loops(extract(ksplus, assume_checked=True).flow) == []
+            assert contraction_loops(extract(ksplus).flow) == []
         _record(ksplus, proof)
 
     # (c) Resolution(2) with a conjunction step
@@ -281,7 +281,7 @@ def test_criterion_8_php_pipeline(monkeypatch):
     for n in (1, 2, 3):
         for v in ("F", "O"):
             p = php_ksplus(n, v)
-            lengths.append(dimensions(extract(p, assume_checked=True).flow)[0])
+            lengths.append(dimensions(extract(p).flow)[0])
             checked.clear()
             ks, report = normalize_proof(p, with_report=True)
             # the input, every pass at every size (n = 3 is above 20000 atoms), the result

@@ -132,6 +132,27 @@ def test_translate_command(tmp_path, capsys):
     assert main(["translate", str(bad), "--out", str(tmp_path / "no.sksd")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("p res set\na 0: x* ~x2\n", 2),  # an empty literal after '*'
+        ("p res set\na 0: x\na 1: ~x\nr 2 = res 0 1 on *\n", 4),
+        ("p res set fmax x\n", 1),
+        # a literal the formula reader cannot read back from the proof
+        ("p res set tree\na 0: y(\na 1: ~y(\nr 2 = res 0 1 on y(\n", 2),
+        # a variable named T would print as the unit T
+        ("p res set tree\na 0: ~T\na 1: T\nr 2 = res 0 1 on T\n", 2),
+    ],
+)
+def test_translate_rejects_malformed_refutations(tmp_path, capsys, text, line):
+    res = tmp_path / "bad.res"
+    res.write_text(text)
+    out = tmp_path / "bad.sksd"
+    assert main(["translate", str(res), "--out", str(out)]) == 2
+    assert f"parse error: line {line}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # a tree-like refutation whose KS+ image has a contraction loop: the axiom
 # clause x1 x3 is used on two branches and both copies of ~x1 merge later
 LOOPING_REFUTATION = """p res set tree

@@ -418,10 +418,10 @@ def test_recheck_matches_only_new_steps(monkeypatch):
 
     d = php_ksplus(2, "F")
     assert check(d, KS_PLUS).ok
-    ext = extract(d, assume_checked=True)
+    ext = extract(d)
     redex = scan_redexes(ext.flow, NORM)[0]
     trie = {}
-    _surgery_for({id(None): trie}, d, ext, redex, ext.raw_segments([redex.edge])[redex.edge])
+    _surgery_for({id(None): trie}, d, ext, redex, ext.segments([redex.edge])[redex.edge])
     new = _rebuild(d, trie)
     old_nodes = {id(n) for n in iter_nodes(d)}
     new_steps = [n for n in iter_nodes(new) if id(n) not in old_nodes and n.kind == STEP]

@@ -12,13 +12,14 @@ from deepflow.derivation import (
     AWD,
     AWU,
     S,
+    STEP,
     leaf,
     size,
     step,
 )
 from corpus import ring_layers
 from deepflow.derivation import dualize
-from deepflow.families import demo_proof, php_refutation, random_derivation, random_ks_plus_proof, res_chain
+from deepflow.families import demo_proof, max_ai_paths_flow, php_refutation, random_derivation, random_ks_plus_proof, res_chain
 from deepflow.flow import (
     ARITY,
     AtomicFlow,
@@ -70,18 +71,36 @@ def test_extract_requires_checked():
         extract(bad)
 
 
+def test_extract_of_a_checked_proof_does_not_walk_it_again(monkeypatch):
+    from deepflow import derivation
+
+    p = php_ksplus(2, "F")  # checked when built
+
+    def walk(*args, **kwargs):
+        raise AssertionError("bottom_up walked the derivation")
+
+    monkeypatch.setattr(derivation, "bottom_up", walk)
+    assert extract(p).flow.n_edges > 0
+    with pytest.raises(AssertionError, match="walked"):
+        extract(step(AID, leaf(top), leaf(disj(a, neg(a)))))  # a fresh one is walked
+
+
 def test_occurrence_map_total():
     d = demo_proof()
     ext = extract(d)
     occs = set()
-    for e in ext.flow.edges:
-        for ref in ext.segment(e):
+    for occ in ext.segments(list(ext.flow.edges)).values():
+        for p, i in occ:
+            ref = (path_of(p), i)
             assert ref not in occs
             occs.add(ref)
     assert len(occs) == size(d)
-    # every node has a step path
+    # every node's path leads to the step it came from
     for n in ext.flow.nodes:
-        assert isinstance(ext.node_path(n), tuple)
+        node = d
+        for branch in path_of(ext.node_path(n)):
+            node = node.a if branch == 0 else node.b
+        assert node.kind == STEP and node.rule == ext.flow.nodes[n]
 
 
 def test_validate_errors():
@@ -188,7 +207,7 @@ def test_canonical_key_ignores_ids_and_unordered_ports():
     from deepflow.rewrite import normalize
     from deepflow.simulations import php_ksplus
 
-    php = normalize(extract(php_ksplus(2, "F"), assume_checked=True).flow, measures=False)[0]
+    php = normalize(extract(php_ksplus(2, "F")).flow, measures=False)[0]
     # refinement leaves cells that mix the two top rings, so the search
     # must not depend on which member it individualises first
     rings = ring_layers((2, 4), (6,))
@@ -237,6 +256,57 @@ def test_from_json_rejects_malformed_flows():
         from_json('{"nodes": []}')
 
 
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats()
+    | st.sampled_from(["pending-top", "pending-bottom", "aid", "acu", "", "0", float("inf"), float("nan")]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(["id", "kind", "from", "to", "nodes", "edges"]), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(doc, path, value):
+    """doc with value put at path.  Each step of the path picks a key or an
+    index modulo the container's size; the path ends early at a value that
+    is not a container or is empty."""
+    if not path or not isinstance(doc, (dict, list)) or not doc:
+        return value
+    key = path[0]
+    if isinstance(doc, list):
+        key %= len(doc)
+        out = list(doc)
+    else:
+        key = sorted(doc)[key % len(doc)]
+        out = dict(doc)
+    out[key] = _mutate(doc[key], path[1:], value)
+    return out
+
+
+@given(
+    st.sampled_from([max_ai_paths_flow(), extract(demo_proof()).flow]),
+    st.lists(st.tuples(st.lists(st.integers(0, 40), min_size=1, max_size=4), _JSON), min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_from_json_raises_only_value_errors_on_mutated_documents(flow, mutations):
+    doc = json.loads(to_json(flow))
+    for path, value in mutations:
+        doc = _mutate(doc, path, value)
+    try:
+        from_json(json.dumps(doc))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100000, '{"nodes": [{"id": 1e400, "kind": "aid"}], "edges": []}'], ids=["deep", "infinite-id"]
+)
+def test_from_json_rejects_deep_nesting_and_infinite_ids(text):
+    with pytest.raises(ValueError, match="malformed"):
+        from_json(text)
+
+
 def test_dualize_flips_flow():
     rng = random.Random(13)
     from deepflow.derivation import dualize
@@ -252,7 +322,7 @@ def test_proof_flows_have_no_pending_top():
     rng = random.Random(7)
     for _ in range(15):
         p = random_ks_plus_proof(rng, steps=6)
-        ext = extract(p, assume_checked=True)
+        ext = extract(p)
         assert not ext.flow.pending_top()
         assert AIU not in ext.flow.kind_census()
         assert ext.flow.n_edges <= size(p)
@@ -268,16 +338,14 @@ def test_switch_threading():
 
 def assert_matches_reference(d):
     """extract gives the reference kernel's flow, node paths and occurrences."""
-    ext = extract(d, assume_checked=True)
+    ext = extract(d)
     flow, segments, node_paths = reference_extract(d)
     assert to_json(ext.flow) == to_json(flow)
     assert list(ext.flow.nodes) == list(flow.nodes)
     assert list(ext.flow.edges) == list(flow.edges)
-    assert {n: ext.node_path(n) for n in ext.flow.nodes} == node_paths
-    occurrences = ext.raw_segments(list(ext.flow.edges))
+    assert {n: path_of(ext.node_path(n)) for n in ext.flow.nodes} == node_paths
+    occurrences = ext.segments(list(ext.flow.edges))
     assert {e: {(path_of(p), i) for p, i in occ} for e, occ in occurrences.items()} == segments
-    for e in list(ext.flow.edges)[:3]:
-        assert set(ext.segment(e)) == segments[e]
     return ext
 
 

@@ -64,7 +64,7 @@ def test_path_count_equals_identity_count_for_ks_proofs():
     from deepflow.lift import normalize_proof
 
     p = normalize_proof(demo_proof())
-    f = extract(p, assume_checked=True).flow
+    f = extract(p).flow
     assert open_ai_paths(f) == node_count(f, AID)
 
 

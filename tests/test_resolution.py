@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deepflow.derivation import (
     ACD,
@@ -9,6 +10,8 @@ from deepflow.derivation import (
     SKS,
     check,
     conclusion,
+    dparse,
+    dprint,
     is_proof,
     premiss,
     rule_census,
@@ -24,6 +27,7 @@ from deepflow.resolution import (
     Res,
     ResCheckFailure,
     ResDerivation,
+    ResSyntaxError,
     UnsupportedModeError,
     Wk,
     check_res,
@@ -153,7 +157,7 @@ def test_simulate_tree_like():
     proof, ksplus, rder = simulate(pi, axioms, with_proofs=True)
     assert check(proof, KS).ok
     assert eq_mod(conclusion(proof), fparse("(((~a&~b)|a)|b)"))
-    assert contraction_loops(extract(ksplus, assume_checked=True).flow) == []
+    assert contraction_loops(extract(ksplus).flow) == []
 
 
 def test_simulate_multiset_census():
@@ -237,3 +241,64 @@ def test_res_format_round_trip():
 
     with pytest.raises(ResSyntaxError):
         parse_res("r 0 = res 1 2 on a\n")
+
+
+# words that .res lines are made of, some of them malformed, for the fuzzer
+_RES_WORDS = [
+    "p", "res", "set", "multiset", "tree", "fmax", "-1",
+    "a", "w", "r", "t", "=", "wk", "+", "on", "and", "0", "1", "2", "0:", "1:",
+    "x", "~x", "y2", "x*y", "~x*y", "*", "x*", "~", "~~x", "y(", "(x&y)", "T", "~F", "1x", "_",
+]
+
+
+_RES_LINE_STARTS = ["p res set", "p res multiset tree fmax", "a 0:", "a 1:", "w 2 = wk 0 +", "r 3 = res 0 1 on", "t 4 = and 0 1", ""]
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(_RES_LINE_STARTS), st.lists(st.sampled_from(_RES_WORDS), max_size=4)).map(
+                lambda t: " ".join([t[0], *t[1]])
+            ),
+            st.text("pawrt =~*x01:;(&|)T\n", max_size=20),
+        ),
+        max_size=8,
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_res_raises_only_res_syntax_errors(lines, header):
+    text = "\n".join((["p res set"] if header else []) + lines)
+    try:
+        parse_res(text)
+    except ResSyntaxError:
+        pass
+
+
+_NAMES = st.one_of(
+    st.from_regex(r"[abxTF][a-z0-9_²]{0,2}", fullmatch=True),
+    st.text("ab_1²(T~F)&|", min_size=1, max_size=3),
+)
+
+
+@given(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_accepted_chain_refutations_translate_to_readable_proofs(names):
+    """A tree-like chain over the variables names: if parse_res accepts it,
+    the KS proof translate writes reads back as the same proof."""
+    n = len(names)
+    lines = ["p res set tree", f"a 0: {names[0]}"]
+    lines += [f"a {i}: ~{names[i - 1]} {names[i]}" for i in range(1, n)]
+    lines.append(f"a {n}: ~{names[-1]}")
+    cur = "0"
+    for i in range(1, n + 1):
+        lines.append(f"r {n + i} = res {cur} {i} on {names[i - 1]}")
+        cur = str(n + i)
+    try:
+        pi, axioms = parse_res("\n".join(lines) + "\n")
+    except ResSyntaxError:
+        return
+    text = dprint(simulate(pi, axioms))
+    d = dparse(text)
+    assert dprint(d) == text
+    assert is_proof(d) and check(d, KS).ok

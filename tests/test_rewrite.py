@@ -17,11 +17,13 @@ from deepflow.flow import FlowBuilder, extract, iso
 from deepflow.metrics import open_ai_paths_bruteforce
 from deepflow.rewrite import (
     CONT,
+    NORM,
     WK,
     StaleRedexError,
     TraceStep,
     _d_sequence,
     _MutFlow,
+    _order,
     apply_redex,
     d_sequence_less,
     explore_reductions,
@@ -30,6 +32,7 @@ from deepflow.rewrite import (
     normalize,
     scan_redexes,
     termination_measure,
+    wk_first_batches,
 )
 
 
@@ -152,7 +155,35 @@ def assert_matches_reference(flow):
 @settings(max_examples=60, deadline=None)
 def test_normalize_matches_rescan_reference_on_random_proof_flows(seed, steps):
     proof = random_ks_plus_proof(random.Random(seed), steps=steps)
-    assert_matches_reference(extract(proof, assume_checked=True).flow)
+    assert_matches_reference(extract(proof).flow)
+
+
+@given(st.integers(0, 2**32), st.integers(2, 10))
+@settings(max_examples=60, deadline=None)
+def test_wk_first_batches_are_disjoint_ordered_maximal_and_phased(seed, steps):
+    m = _MutFlow(extract(random_ks_plus_proof(random.Random(seed), steps=steps)).flow)
+    pending = []  # the batch being applied
+
+    def redexes_of(sub):
+        assert not pending, "wk_first_batches scanned before the batch was applied"
+        return scan_redexes(m, sub)
+
+    phases = []
+    for sub, batch in wk_first_batches(redexes_of):
+        redexes = scan_redexes(m, sub)
+        assert batch and batch == sorted(batch, key=_order)
+        anchors = [n for r in batch for n in r.anchors()]
+        assert len(anchors) == len(set(anchors))
+        for r in redexes:
+            assert r in batch or not set(r.anchors()).isdisjoint(anchors)
+        assert set(batch) <= set(redexes)
+        phases.append(sub)
+        pending.append(batch)
+        for r in batch:
+            m.apply(r)
+        pending.clear()
+    assert phases == sorted(phases, key=lambda sub: sub is CONT)
+    assert scan_redexes(m, NORM) == []
 
 
 @pytest.mark.parametrize(

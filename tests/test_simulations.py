@@ -86,7 +86,7 @@ def test_truthtable_base_case():
     p = truthtable_ksplus(tau)
     assert check(p, KS_PLUS).ok and is_proof(p)
     assert conclusion(p) == tau
-    assert extract(p, assume_checked=True).flow.kind_census().get(AID) == 1
+    assert extract(p).flow.kind_census().get(AID) == 1
     ks = truthtable_ks(tau)
     assert check(ks, KS).ok and conclusion(ks) == tau
 
@@ -97,7 +97,7 @@ def test_truthtable_two_vars():
     assert check(p, KS_PLUS).ok and conclusion(p) == tau
     # linear in the table: 4 assignments of a formula with 4 atoms
     assert size(p) <= 4 * size(leaf(tau)) * 20
-    length, _, _ = dimensions(extract(p, assume_checked=True).flow)
+    length, _, _ = dimensions(extract(p).flow)
     assert length <= 4
     ks = truthtable_ks(tau)
     assert check(ks, KS).ok and conclusion(ks) == tau
@@ -190,7 +190,7 @@ def test_php_ksplus_small():
     assert conclusion(p) == php_formula(1, "F")
     p2 = php_ksplus(2, "F")
     assert conclusion(p2) == php_formula(2, "F")
-    length, _, _ = dimensions(extract(p2, assume_checked=True).flow)
+    length, _, _ = dimensions(extract(p2).flow)
     assert length <= 6
     with pytest.raises(SimulationError):
         php_ksplus(4, "F")  # beyond the default cap
