@@ -87,8 +87,8 @@ def cubic_flow(n: int) -> AtomicFlow:
 def cubic_topmost_edges(flow: AtomicFlow):
     """The identity output edges ordered so weights read 1,2,...,n,n,...,1."""
     ids = sorted(n for n, k in flow.nodes.items() if k == AID)
-    left = [flow.out_edges(n)[0] for n in ids]
-    right = [flow.out_edges(n)[1] for n in reversed(ids)]
+    left = [flow.outs[n][0] for n in ids]
+    right = [flow.outs[n][1] for n in reversed(ids)]
     return left + right
 
 

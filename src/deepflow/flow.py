@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .derivation import (
     ACD,
@@ -51,43 +51,29 @@ ARITY = {
 }
 
 class AtomicFlow:
-    """Immutable-by-convention port graph.
+    """Port graph, valid by construction and never changed after it
+    (tests/test_layout.py keeps the package from storing into one).
 
     nodes: id -> kind.  edges: id -> (src, tgt) where each end is None
     (pending) or a (node id, port index) pair; src ends sit on out-ports,
-    tgt ends on in-ports.
+    tgt ends on in-ports.  ins and outs map each node to its
+    {port: edge}.  A graph that fails validate raises ValueError.
     """
 
-    __slots__ = ("nodes", "edges", "_ins", "_outs")
+    __slots__ = ("nodes", "edges", "ins", "outs")
 
     def __init__(self, nodes, edges):
         self.nodes = dict(nodes)
         self.edges = dict(edges)
-        self._ins = None
-        self._outs = None
+        report = validate(self.nodes, self.edges)
+        if not report.ok:
+            raise ValueError(f"invalid flow: {report.errors}")
+        self.ins = report.ins
+        self.outs = report.outs
 
     @property
     def n_edges(self):
         return len(self.edges)
-
-    def _adjacency(self):
-        if self._ins is None:
-            ins = {n: {} for n in self.nodes}
-            outs = {n: {} for n in self.nodes}
-            for e, (src, tgt) in self.edges.items():
-                if src is not None:
-                    outs[src[0]][src[1]] = e
-                if tgt is not None:
-                    ins[tgt[0]][tgt[1]] = e
-            self._ins = {n: [v for _, v in sorted(d.items())] for n, d in ins.items()}
-            self._outs = {n: [v for _, v in sorted(d.items())] for n, d in outs.items()}
-        return self._ins, self._outs
-
-    def in_edges(self, n):
-        return self._adjacency()[0][n]
-
-    def out_edges(self, n):
-        return self._adjacency()[1][n]
 
     def pending_top(self):
         return sorted(e for e, (s, _) in self.edges.items() if s is None)
@@ -128,18 +114,18 @@ class FlowBuilder:
         return e
 
     def build(self) -> AtomicFlow:
-        f = AtomicFlow(self._nodes, self._edges)
-        require_valid(f)
-        return f
+        return AtomicFlow(self._nodes, self._edges)
 
 
 @dataclass
 class FlowReport:
-    ok: bool
-    errors: list = field(default_factory=list)
+    """validate's verdict: the (code, message) errors, and each node's
+    {port: edge} maps of in-edges and out-edges."""
 
-    def __bool__(self):
-        return self.ok
+    ok: bool
+    errors: list
+    ins: dict
+    outs: dict
 
 
 def topo_sort(succ):
@@ -161,39 +147,40 @@ def topo_sort(succ):
     return order if len(order) == len(succ) else None
 
 
-def validate(flow: AtomicFlow) -> FlowReport:
-    """Node kind, arity, port typing and acyclicity checks."""
+def validate(nodes, edges) -> FlowReport:
+    """Node kind, arity, port typing and acyclicity checks of a node dict
+    and an edge dict; the report carries the port maps of the graph."""
     errors = []
     arity = {}
-    for n, kind in flow.nodes.items():
+    for n, kind in nodes.items():
         if kind in NODE_KINDS:
             arity[n] = ARITY[kind]
         else:
             errors.append(("unknown-kind", f"node {n} has unknown kind {kind!r}"))
-    ins = {n: set() for n in flow.nodes}
-    outs = {n: set() for n in flow.nodes}
-    succ = {n: [] for n in flow.nodes}
-    for e, (src, tgt) in flow.edges.items():
+    ins = {n: {} for n in nodes}
+    outs = {n: {} for n in nodes}
+    succ = {n: [] for n in nodes}
+    for e, (src, tgt) in edges.items():
         for end, table, which in ((src, outs, "out"), (tgt, ins, "in")):
             if end is None:
                 continue
             n, port = end
-            if n not in flow.nodes:
+            if n not in nodes:
                 errors.append(("dangling-port", f"edge {e} references missing node {n}"))
                 continue
             if n not in arity:
                 continue
             lim = arity[n][0 if which == "in" else 1]
             if not (0 <= port < lim):
-                errors.append(("arity-violation", f"edge {e} uses {which}-port {port} of {flow.nodes[n]} node {n}"))
+                errors.append(("arity-violation", f"edge {e} uses {which}-port {port} of {nodes[n]} node {n}"))
                 continue
             if port in table[n]:
                 errors.append(("arity-violation", f"{which}-port {port} of node {n} attached twice"))
-            table[n].add(port)
+            table[n][port] = e
         if src is not None and tgt is not None and src[0] in succ and tgt[0] in succ:
             succ[src[0]].append(tgt[0])
     for n, (want_in, want_out) in arity.items():
-        kind = flow.nodes[n]
+        kind = nodes[n]
         if len(ins[n]) != want_in:
             errors.append(("arity-violation", f"node {n} ({kind}) has {len(ins[n])}/{want_in} in-edges"))
         if len(outs[n]) != want_out:
@@ -201,14 +188,7 @@ def validate(flow: AtomicFlow) -> FlowReport:
     # acyclicity of the node graph, edges oriented downward
     if topo_sort(succ) is None:
         errors.append(("cycle-found", "directed cycle among nodes"))
-    return FlowReport(not errors, errors)
-
-
-def require_valid(flow: AtomicFlow):
-    """Raise ValueError with the validation errors unless flow is valid."""
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow: {report.errors}")
+    return FlowReport(not errors, errors, ins, outs)
 
 
 # -- extraction -----------------------------------------------------------------
@@ -557,8 +537,7 @@ def from_json(text: str) -> AtomicFlow:
             if i in seen:
                 raise ValueError(f"invalid flow JSON: duplicate {what} id {i}")
             seen.add(i)
-    flow = AtomicFlow(nodes, edges)
-    report = validate(flow)
-    if not report.ok:
-        raise ValueError(f"invalid flow JSON: {report.errors}")
-    return flow
+    try:
+        return AtomicFlow(nodes, edges)
+    except ValueError as exc:
+        raise ValueError(f"invalid flow JSON: {exc}") from exc

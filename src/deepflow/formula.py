@@ -62,6 +62,8 @@ bot = Formula(BOT)
 def lit(name: str, negative: bool = False) -> Formula:
     if not name:
         raise ValueError("literal variable name must be nonempty")
+    if name in ("T", "F"):
+        raise ValueError(f"{name} is a unit, not a variable name")
     return Formula(LIT, name, bool(negative))
 
 
@@ -387,6 +389,7 @@ def _rnest(kind, items):
 # -- text format --------------------------------------------------------------
 #
 # f ::= "T" | "F" | ident | "~" ident | "(" f "&" f ")" | "(" f "|" f ")"
+# where an ident is never T or F
 
 
 def fprint(f: Formula) -> str:
@@ -461,6 +464,8 @@ def read_formula(tokens, i, locate):
             i += 1
             if not t[:1].isalpha():
                 raise FormulaSyntaxError("expected identifier", locate(i - 1))
+            if t in ("T", "F"):
+                raise FormulaSyntaxError(f"{t} is a unit, not a variable name", locate(i - 1))
             f = Formula(LIT, t, True)
         elif t[:1].isalpha():
             f = top if t == "T" else bot if t == "F" else Formula(LIT, t, False)

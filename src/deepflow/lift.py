@@ -52,15 +52,14 @@ from .rewrite import (
     CU_WU,
     ID_CU,
     ID_WU,
-    NORM,
     WD_CD,
     WD_CU,
     WD_WU,
     WK,
     Redex,
     apply_redex,
+    find_redexes,
     normalize,
-    scan_redexes,
     wk_first_batches,
 )
 
@@ -312,7 +311,7 @@ def normalize_proof(d: Derivation, with_report: bool = False):
     wk_steps = cont_steps = passes = 0
     # wk_first_batches asks for redexes only after each pass, so the lambda
     # reads the extraction of the current derivation
-    for sub, batch in wk_first_batches(lambda sub: scan_redexes(ext.flow, sub)):
+    for sub, batch in wk_first_batches(lambda sub: find_redexes(ext.flow, sub)):
         passes += 1
         if sub is WK:
             wk_steps += len(batch)
@@ -325,7 +324,7 @@ def normalize_proof(d: Derivation, with_report: bool = False):
     if endpoints(current) != endpoints(d):
         raise LiftError("normalization changed the endpoints")
     final = ext.flow
-    if scan_redexes(final, NORM):
+    if find_redexes(final):
         raise LiftError("result flow still has redexes")
     _require_same_flow(final, target, "result flow", "the flow-level normal form")
     if with_report:

@@ -10,7 +10,7 @@ enumerator is the oracle it is tested against.
 from __future__ import annotations
 
 from .derivation import ACD, ACU, AID, AIU, AWD, AWU
-from .flow import AtomicFlow, require_valid, topo_sort
+from .flow import AtomicFlow, topo_sort
 
 DOWN, UP = 0, 1
 
@@ -42,12 +42,11 @@ def _state_graph(flow: AtomicFlow):
             kind = flow.nodes[n]
             endnode[(e, DOWN)] = n
             if kind == ACD:
-                nxt = [(flow.out_edges(n)[0], DOWN)]
+                nxt = [(flow.outs[n][0], DOWN)]
             elif kind == ACU:
-                nxt = [(o, DOWN) for o in flow.out_edges(n)]
+                nxt = [(flow.outs[n][0], DOWN), (flow.outs[n][1], DOWN)]
             elif kind == AIU:
-                other = [x for x in flow.in_edges(n) if x != e]
-                nxt = [(other[0], UP)] if other else []
+                nxt = [(flow.ins[n][1 - port], UP)]
             elif kind == AWU:
                 nxt = []
             else:
@@ -62,12 +61,11 @@ def _state_graph(flow: AtomicFlow):
             kind = flow.nodes[n]
             endnode[(e, UP)] = n
             if kind == AID:
-                other = [x for x in flow.out_edges(n) if x != e]
-                nxt = [(other[0], DOWN)] if other else []
+                nxt = [(flow.outs[n][1 - port], DOWN)]
             elif kind == ACD:
-                nxt = [(i, UP) for i in flow.in_edges(n)]
+                nxt = [(flow.ins[n][0], UP), (flow.ins[n][1], UP)]
             elif kind == ACU:
-                nxt = [(flow.in_edges(n)[0], UP)]
+                nxt = [(flow.ins[n][0], UP)]
             elif kind == AWD:
                 nxt = []
             else:
@@ -91,7 +89,6 @@ def open_ai_paths(flow: AtomicFlow) -> int:
     Each open path is counted once from each pending endpoint, so the total
     is half the sum over pending ends of the continuation counts.
     """
-    require_valid(flow)
     return _open_ai_paths(flow, _ordered_states(flow))
 
 
@@ -116,7 +113,6 @@ def _open_ai_paths(flow, states):
 def open_ai_paths_bruteforce(flow: AtomicFlow, cap: int = 25) -> int:
     """Exhaustive DFS enumeration of open ai-paths, deduplicated modulo
     inversion by keeping the lexicographically smaller orientation."""
-    require_valid(flow)
     if len(flow.edges) > cap:
         raise CapExceeded(f"flow has {len(flow.edges)} > {cap} edges")
     paths = set()
@@ -126,22 +122,22 @@ def open_ai_paths_bruteforce(flow: AtomicFlow, cap: int = 25) -> int:
         end = tgt if direction == DOWN else src
         if end is None:
             return None  # open end reached
-        n, _ = end
+        n, port = end
         kind = flow.nodes[n]
         if direction == DOWN:
             if kind == ACD:
-                return [(flow.out_edges(n)[0], DOWN)]
+                return [(flow.outs[n][0], DOWN)]
             if kind == ACU:
-                return [(o, DOWN) for o in flow.out_edges(n)]
+                return [(flow.outs[n][0], DOWN), (flow.outs[n][1], DOWN)]
             if kind == AIU:
-                return [(x, UP) for x in flow.in_edges(n) if x != e]
+                return [(flow.ins[n][1 - port], UP)]
             return []  # awu: dead end, not open
         if kind == AID:
-            return [(x, DOWN) for x in flow.out_edges(n) if x != e]
+            return [(flow.outs[n][1 - port], DOWN)]
         if kind == ACD:
-            return [(i, UP) for i in flow.in_edges(n)]
+            return [(flow.ins[n][0], UP), (flow.ins[n][1], UP)]
         if kind == ACU:
-            return [(flow.in_edges(n)[0], UP)]
+            return [(flow.ins[n][0], UP)]
         return []  # awd
 
     def walk(e, direction, acc, used):
@@ -174,7 +170,6 @@ def node_count(flow: AtomicFlow, kind: str) -> int:
 def edge_weight(flow: AtomicFlow, edge: int) -> int:
     """Number of directed paths from the edge to a coweakening node or a
     pending bottom end."""
-    require_valid(flow)
     if edge not in flow.edges:
         raise KeyError(f"unknown edge id {edge}")
     return _all_weights(flow)[edge]
@@ -191,9 +186,9 @@ def _all_weights(flow: AtomicFlow):
         if kind == AWU:
             succ[e] = None
         elif kind == ACD:
-            succ[e] = [flow.out_edges(n)[0]]
+            succ[e] = [flow.outs[n][0]]
         elif kind == ACU:
-            succ[e] = list(flow.out_edges(n))
+            succ[e] = [flow.outs[n][0], flow.outs[n][1]]
         else:  # aiu: not a bottom element
             succ[e] = []
     order = topo_sort({e: nxt or () for e, nxt in succ.items()})
@@ -215,7 +210,6 @@ def dimensions(flow: AtomicFlow):
     along any ai-path, with connected same-kind runs collapsed by that super
     node convention.  Breadth counts connected components.
     """
-    require_valid(flow)
     return _dimensions(flow, _ordered_states(flow))
 
 
@@ -286,11 +280,6 @@ def _dimensions(flow, states):
 def contraction_loops(flow: AtomicFlow):
     """All (cocontraction, contraction) pairs joined by two edge-disjoint
     directed paths, found by unit-capacity max flow."""
-    require_valid(flow)
-    return _contraction_loops(flow)
-
-
-def _contraction_loops(flow):
     ups = sorted(n for n, k in flow.nodes.items() if k == ACU)
     downs = sorted(n for n, k in flow.nodes.items() if k == ACD)
     if not ups or not downs:
@@ -365,7 +354,6 @@ def _contraction_loops(flow):
 
 def metrics_record(flow: AtomicFlow) -> dict:
     """The JSON-facing metrics summary of a flow."""
-    require_valid(flow)
     states = _ordered_states(flow)
     length, width, breadth = _dimensions(flow, states)
     census = flow.kind_census()
@@ -376,5 +364,5 @@ def metrics_record(flow: AtomicFlow) -> dict:
         "width": width,
         "breadth": breadth,
         "open_ai_paths": str(_open_ai_paths(flow, states)),
-        "contraction_loops": [[u, v] for u, v in _contraction_loops(flow)],
+        "contraction_loops": [[u, v] for u, v in contraction_loops(flow)],
     }

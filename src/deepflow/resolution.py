@@ -82,12 +82,12 @@ class Term:
 
 
 def term_of(text: str) -> Term:
-    """The term of literals joined by '*', each read by fparse; a literal's
-    variable may not be T or F, which print as units."""
+    """The term of literals joined by '*', each read by fparse (which reads
+    no variable named T or F)."""
     parts = []
     for part in text.split("*"):
         f = fparse(part)
-        if not is_literal(f) or f.a in ("T", "F"):
+        if not is_literal(f):
             raise ValueError(f"expected a literal, got {part!r}")
         parts.append(f)
     return Term(tuple(parts))

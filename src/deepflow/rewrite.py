@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .derivation import ACD, ACU, AID, AWD, AWU
-from .flow import AtomicFlow, canonical_key, require_valid, topo_sort
+from .flow import AtomicFlow, canonical_key, topo_sort
 
 WD_CD, ID_WU, CU_WU, WD_CU, WD_WU, CD_WU, CD_CU, ID_CU = (
     "wd-cd",
@@ -101,15 +101,9 @@ def trace_to_json(trace) -> str:
     )
 
 
-def find_redexes(flow: AtomicFlow, sub=NORM):
-    """All redexes of the subsystem in a valid flow, deterministically ordered."""
-    require_valid(flow)
-    return scan_redexes(flow, sub)
-
-
-def scan_redexes(flow, sub=NORM):
-    """find_redexes without validation, for any object with nodes and edges
-    dicts (an AtomicFlow or the mutable flow of normalization)."""
+def find_redexes(flow, sub=NORM):
+    """All redexes of the subsystem, deterministically ordered, in an
+    AtomicFlow or the mutable flow of normalization."""
     out = []
     for e in flow.edges:
         r = _redex_at(flow, e)
@@ -147,13 +141,8 @@ class _MutFlow:
     def __init__(self, flow: AtomicFlow):
         self.nodes = dict(flow.nodes)
         self.edges = dict(flow.edges)
-        self.ins = {n: {} for n in self.nodes}
-        self.outs = {n: {} for n in self.nodes}
-        for e, (s, t) in self.edges.items():
-            if s is not None:
-                self.outs[s[0]][s[1]] = e
-            if t is not None:
-                self.ins[t[0]][t[1]] = e
+        self.ins = {n: dict(ports) for n, ports in flow.ins.items()}
+        self.outs = {n: dict(ports) for n, ports in flow.outs.items()}
         self.next_id = max([*self.nodes, *self.edges], default=-1) + 1
         self.touched_edges = set()
         self.touched_nodes = set()
@@ -452,9 +441,7 @@ class _Distances:
 
 def termination_measure(flow: AtomicFlow):
     """(D sequence counting cocontractions by distance from the top, size)."""
-    require_valid(flow)
-    m = _MutFlow(flow)
-    return _d_sequence(m.nodes, m.edges, m.ins), len(flow.edges)
+    return _d_sequence(flow.nodes, flow.edges, flow.ins), len(flow.edges)
 
 
 def d_sequence_less(a, b):
@@ -512,7 +499,7 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = Tru
 
     strategy 'wk-first' exhausts the weakening subsystem before the
     cocontraction one, in the batches of wk_first_batches; 'cont-first'
-    takes one least redex at a time in the order of scan_redexes, preferring
+    takes one least redex at a time in the order of find_redexes, preferring
     cocontraction ones (exponentially long on the tower family).
 
     With measures on, every applied step is checked against the per-rule
@@ -526,7 +513,6 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = Tru
     the touched edges, and the distances incrementally.  At the end, a full
     scan must find no redex and a full pass must give the same D.
     """
-    require_valid(flow)
     if strategy not in ("wk-first", "cont-first"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -597,7 +583,7 @@ def normalize(flow: AtomicFlow, strategy: str = "wk-first", measures: bool = Tru
             if r is not None and (r.rule in WK, *_order(r)) == entry:
                 run_batch((r,))
 
-    if scan_redexes(m, NORM):
+    if find_redexes(m):
         raise NormalizationError("normal form still has redexes")
     if measures and _d_sequence(m.nodes, m.edges, m.ins) != d_now:
         raise NormalizationError("incremental distance sequence differs from a full pass")
@@ -624,14 +610,13 @@ def explore_reductions(flow: AtomicFlow, cap: int = 20000):
     Confluence predicts a singleton; the cap bounds the number of distinct
     states explored.
     """
-    require_valid(flow)
     key = canonical_key(flow)
     visited = {key}
     normals = {}
     queue = [(flow, key)]
     while queue:
         current, key = queue.pop()
-        redexes = scan_redexes(current)  # apply_redex keeps every state valid
+        redexes = find_redexes(current)
         if not redexes:
             normals.setdefault(key, current)
             continue

@@ -16,7 +16,6 @@ or onto variant with a contraction-free derivation, and contracts.
 
 from __future__ import annotations
 
-import os
 import random
 
 from .derivation import (
@@ -72,16 +71,6 @@ from .formula import (
     variables,
 )
 from .lift import normalize_proof
-
-MAX_VARS_ENV = "DEEPFLOW_MAX_VARS"
-
-
-def max_tt_vars() -> int:
-    try:
-        return int(os.environ.get(MAX_VARS_ENV, "14"))
-    except ValueError:
-        return 14
-
 
 class SimulationError(ValueError):
     pass
@@ -197,12 +186,11 @@ def _bridge(g: Formula, phi_premiss: Formula) -> Derivation:
     return glue(rec(g), leaf(phi_premiss))
 
 
-def truthtable_ksplus(tau: Formula, max_vars: int | None = None) -> Derivation:
+def truthtable_ksplus(tau: Formula, max_vars: int = 14) -> Derivation:
     """The table-of-assignments proof of a tautology in KS+."""
-    cap = max_tt_vars() if max_vars is None else max_vars
     vs = sorted(variables(tau))
-    if len(vs) > cap:
-        raise SimulationError(f"{len(vs)} variables exceeds the cap {cap}")
+    if len(vs) > max_vars:
+        raise SimulationError(f"{len(vs)} variables exceeds the cap {max_vars}")
     if not is_tautology(tau):
         raise SimulationError(f"{fprint(tau)} is not a tautology")
     if not vs:
@@ -226,7 +214,7 @@ def truthtable_ksplus(tau: Formula, max_vars: int | None = None) -> Derivation:
     return ensure_checked(d, KS_PLUS)
 
 
-def truthtable_ks(tau: Formula, max_vars: int | None = None) -> Derivation:
+def truthtable_ks(tau: Formula, max_vars: int = 14) -> Derivation:
     """KS proof of a tautology via the truth-table construction.
 
     The KS+ intermediate has all cocontractions above all contractions; its
@@ -658,22 +646,12 @@ def php_ksplus(n: int, variant: str, cap: int = 3) -> Derivation:
         raise SimulationError(f"n={n} exceeds the desk-scale cap {cap}")
     if variant == "OF":
         base = php_ksplus(n, "F", cap)
-        return _add_onto(n, base, "ksplus")
+        return _add_onto(n, base, KS_PLUS)
     target = php_formula(n, variant)
     base = switch_cut(sks_php_proof(n))
     php = php_formula(n, "plain")
-    cn = conclusion(base)
-    pair_vars = []
-    if cn.b.kind != "bot":
-        stack = [cn.b]
-        while stack:
-            g = stack.pop()
-            if g.kind == "and":
-                pair_vars.append(g.a.a)
-            else:
-                stack.append(g.b)
-                stack.append(g.a)
-        pair_vars = sorted(pair_vars)
+    # the variables switch_cut pairs, in its order: every variable, by name
+    pairs = sorted(((i, j) for i in range(n + 1) for j in range(1, n + 1)), key=lambda ij: php_var(*ij))
 
     def php_side():
         part = php_formula(n, variant).a
@@ -685,23 +663,16 @@ def php_ksplus(n: int, variant: str, cap: int = 3) -> Derivation:
             leaf(target),
         )
 
-    def var_ij(name):
-        body = name[1:]
-        if "_" in body:
-            i, j = body.split("_")
-            return int(i), int(j)
-        return int(body[:-1]), int(body[-1])
-
-    def pairs_ext(names):
-        if len(names) == 1:
-            i, j = var_ij(names[0])
+    def pairs_ext(pairs):
+        if len(pairs) == 1:
+            i, j = pairs[0]
             return phi_st(n, i, j, "F" if variant != "O" else "O"), ("leaf",)
-        mid = len(names) // 2
-        dl, sl = pairs_ext(names[:mid])
-        dr, sr = pairs_ext(names[mid:])
+        mid = len(pairs) // 2
+        dl, sl = pairs_ext(pairs[:mid])
+        dr, sr = pairs_ext(pairs[mid:])
         return compose("or", dl, dr), ("node", sl, sr)
 
-    ext, shape = pairs_ext(pair_vars)
+    ext, shape = pairs_ext(pairs)
     d = glue(base, compose("or", php_side(), ext))
 
     def contract(sh):
@@ -716,7 +687,7 @@ def php_ksplus(n: int, variant: str, cap: int = 3) -> Derivation:
     return ensure_checked(d, KS_PLUS)
 
 
-def _add_onto(n, base, stage):
+def _add_onto(n, base, system):
     fphp = php_formula(n, "F")
     o_part = php_formula(n, "OF").a
     mid = disj(bot, fphp)
@@ -726,13 +697,13 @@ def _add_onto(n, base, stage):
         in_context(mid, (0,), expand_generic(GWD, o_part)),
         leaf(php_formula(n, "OF")),
     )
-    return ensure_checked(d, KS_PLUS if stage == "ksplus" else KS)
+    return ensure_checked(d, system)
 
 
 def php_ks(n: int, variant: str, cap: int = 3) -> Derivation:
     """Checked KS proof of the F, O or OF pigeonhole variant."""
     if variant == "OF":
-        return _add_onto(n, php_ks(n, "F", cap), "ks")
+        return _add_onto(n, php_ks(n, "F", cap), KS)
     p = normalize_proof(php_ksplus(n, variant, cap))
     if conclusion(p) != php_formula(n, variant):
         raise AssertionError("pigeonhole proof concludes the wrong formula")

@@ -41,7 +41,11 @@ def reference_fparse(text: str) -> Formula:
         if text[pos] == "~":
             pos += 1
             skip()
-            f = lit(ident(), True)
+            start = pos
+            name = ident()
+            if name in ("T", "F"):
+                raise FormulaSyntaxError(f"{name} is a unit, not a variable name", start)
+            f = lit(name, True)
         else:
             name = ident()
             f = top if name == "T" else bot if name == "F" else lit(name)

@@ -36,6 +36,14 @@ def test_check_rejects_two_formulas_in_one_form(tmp_path, capsys, text, pos):
     assert err == f"error: parse error in {bad}: expected ')' after the formula at position {pos}\n"
 
 
+def test_check_rejects_a_negated_unit(tmp_path, capsys):
+    bad = tmp_path / "bad.sksd"
+    bad.write_text("(form (~T|a))")
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: parse error in {bad}: T is a unit, not a variable name at position 8\n"
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.sksd"
     bad.write_bytes(b"(form a\xff)")

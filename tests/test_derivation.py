@@ -413,13 +413,13 @@ def test_checked_ks_plus_subtree_rechecked_as_ks():
 def test_recheck_matches_only_new_steps(monkeypatch):
     from deepflow.flow import extract
     from deepflow.lift import _rebuild, _surgery_for
-    from deepflow.rewrite import NORM, scan_redexes
+    from deepflow.rewrite import NORM, find_redexes
     from deepflow.simulations import php_ksplus
 
     d = php_ksplus(2, "F")
     assert check(d, KS_PLUS).ok
     ext = extract(d)
-    redex = scan_redexes(ext.flow, NORM)[0]
+    redex = find_redexes(ext.flow, NORM)[0]
     trie = {}
     _surgery_for({id(None): trie}, d, ext, redex, ext.segments([redex.edge])[redex.edge])
     new = _rebuild(d, trie)

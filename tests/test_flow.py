@@ -103,13 +103,26 @@ def test_occurrence_map_total():
         assert node.kind == STEP and node.rule == ext.flow.nodes[n]
 
 
+def assert_invalid(nodes, edges, code):
+    """validate reports code for the graph, and constructing it raises a
+    ValueError naming code; returns the codes validate reports."""
+    codes = [c for c, _ in validate(nodes, edges).errors]
+    assert code in codes
+    with pytest.raises(ValueError, match=code):
+        AtomicFlow(nodes, edges)
+    return codes
+
+
 def test_validate_errors():
     ok = extract(demo_proof()).flow
-    assert validate(ok).ok
-    broken = AtomicFlow({0: AID}, {1: ((0, 0), None)})  # missing second out-edge
-    report = validate(broken)
-    assert not report.ok and report.errors[0][0] == "arity-violation"
-    cyc = AtomicFlow(
+    report = validate(ok.nodes, ok.edges)
+    assert report.ok and (report.ins, report.outs) == (ok.ins, ok.outs)
+    for e, (s, t) in ok.edges.items():
+        assert s is None or ok.outs[s[0]][s[1]] == e
+        assert t is None or ok.ins[t[0]][t[1]] == e
+    # missing second out-edge
+    assert assert_invalid({0: AID}, {1: ((0, 0), None)}, "arity-violation")[0] == "arity-violation"
+    cyc = (
         {0: ACD, 1: ACU},
         {
             2: ((0, 0), (1, 0)),
@@ -117,15 +130,49 @@ def test_validate_errors():
             4: ((1, 1), (0, 1)),
         },
     )
-    assert any(code == "cycle-found" for code, _ in validate(cyc).errors)
+    assert_invalid(*cyc, "cycle-found")
 
 
 def test_validate_reports_dangling_ports_and_unknown_kinds():
     # an identity with one edge to a node that does not exist
-    dangling = AtomicFlow({0: AID}, {1: ((0, 0), (7, 0))})
-    assert "dangling-port" in [code for code, _ in validate(dangling).errors]
-    unknown = AtomicFlow({0: "zzz", 1: AWD}, {2: ((1, 0), (0, 0))})
-    assert [code for code, _ in validate(unknown).errors] == ["unknown-kind"]
+    assert_invalid({0: AID}, {1: ((0, 0), (7, 0))}, "dangling-port")
+    assert assert_invalid({0: "zzz", 1: AWD}, {2: ((1, 0), (0, 0))}, "unknown-kind") == ["unknown-kind"]
+
+
+def test_flows_are_validated_once_when_made(monkeypatch):
+    import deepflow.flow as flow_module
+    from deepflow.metrics import contraction_loops, dimensions, metrics_record, open_ai_paths
+    from deepflow.rewrite import _MutFlow, apply_redex, find_redexes, normalize, termination_measure
+
+    proof = demo_proof()
+    f = extract(proof).flow
+    (redex, *_) = find_redexes(f)
+    calls = []
+    real_validate = flow_module.validate
+
+    def counted(nodes, edges):
+        calls.append(len(edges))
+        return real_validate(nodes, edges)
+
+    monkeypatch.setattr(flow_module, "validate", counted)
+
+    def validations(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    for fn in (metrics_record, open_ai_paths, dimensions, contraction_loops, find_redexes, termination_measure):
+        assert validations(fn, f) == 0, fn.__name__
+    assert validations(normalize, f) == 1
+    assert validations(apply_redex, f, redex) == 1
+    assert validations(extract, proof) == 1
+    assert validations(flip_dual, f) == 1
+    m = _MutFlow(f)
+    m.del_edge(redex.edge)
+    calls.clear()
+    with pytest.raises(ValueError, match="invalid flow: .*arity-violation"):
+        m.freeze()
+    assert calls == [len(f.edges) - 1]
 
 
 def test_iso_examples():
@@ -199,7 +246,7 @@ def renumbered(f, rng):
     rng.shuffle(nodes)
     rng.shuffle(edges)
     g = AtomicFlow(nodes, edges)
-    assert validate(g).ok and g.edges != f.edges
+    assert g.edges != f.edges
     return g
 
 

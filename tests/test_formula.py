@@ -207,6 +207,38 @@ def test_fparse_matches_the_reference_on_formulas(f, spaces):
     assert _parse_outcome(fparse, text) == _parse_outcome(reference_fparse, text)
 
 
+@given(named)
+@settings(max_examples=200, deadline=None)
+def test_dual_reads_back(f):
+    assert fparse(fprint(dual(f))) is dual(f)
+
+
+@given(st.text(alphabet="()&|~ TFab", max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_dual_of_any_read_formula_reads_back(text):
+    try:
+        f = fparse(text)
+    except FormulaSyntaxError:
+        return
+    assert fparse(fprint(dual(f))) is dual(f)
+
+
+@pytest.mark.parametrize("text, pos", [("~T", 1), ("(~T|a)", 2), ("( a | ~ F)", 8)])
+def test_units_are_never_variable_names(text, pos):
+    from deepflow.derivation import dparse
+
+    with pytest.raises(FormulaSyntaxError) as exc:
+        fparse(text)
+    assert exc.value.pos == pos
+    with pytest.raises(FormulaSyntaxError) as exc:
+        dparse(f"(form {text})")
+    assert exc.value.pos == pos + len("(form ")
+    for name in ("T", "F"):
+        for negative in (False, True):
+            with pytest.raises(ValueError, match="unit"):
+                lit(name, negative)
+
+
 def test_equal_literals_are_one_node():
     assert lit("x", 0) is lit("x", False)
     assert conj(lit("x"), top) is fparse("(x & T)")

@@ -1,4 +1,5 @@
-"""Modules of the package import only each other's public names."""
+"""Layout rules over the package source: which names cross modules, and
+which fields may change after construction."""
 
 import ast
 from pathlib import Path
@@ -36,4 +37,45 @@ def test_node_fields_are_set_only_at_construction():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
                 if node.attr in ("a", "b", "rule", "kind") and id(node) not in allowed:
                     found.append(f"{path.name}:{node.lineno} stores .{node.attr}")
+    assert not found, found
+
+
+FLOW_DICTS = ("nodes", "edges", "ins", "outs")
+DICT_MUTATORS = ("pop", "popitem", "update", "setdefault", "clear")
+
+
+def _flow_dict(node):
+    """Whether node is a .nodes, .edges, .ins or .outs attribute, or a
+    subscript of one (an inner port map)."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr in FLOW_DICTS
+
+
+def test_flow_dicts_change_only_in_the_mutable_flow():
+    """A flow is checked once, when it is made, and keeps the port maps of
+    that check; this is sound only while no flow changes.  Outside
+    rewrite._MutFlow, no code stores into or deletes from .nodes, .edges,
+    .ins or .outs, calls a mutating dict method on them, or rebinds them
+    outside __init__."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exempt, init = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (path.name, node.name) == ("rewrite.py", "_MutFlow"):
+                exempt.update(id(n) for n in ast.walk(node))
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                init.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)) and _flow_dict(node.value):
+                found.append(f"{path.name}:{node.lineno} stores into a flow dict")
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                if node.attr in FLOW_DICTS and id(node) not in init:
+                    found.append(f"{path.name}:{node.lineno} rebinds .{node.attr}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in DICT_MUTATORS and _flow_dict(node.func.value):
+                    found.append(f"{path.name}:{node.lineno} calls {node.func.attr} on a flow dict")
     assert not found, found

@@ -30,7 +30,6 @@ from deepflow.rewrite import (
     find_redexes,
     measure_less,
     normalize,
-    scan_redexes,
     termination_measure,
     wk_first_batches,
 )
@@ -118,7 +117,7 @@ def test_normalize_tower():
 
 def reference_normalize(flow, strategy):
     """normalize with measures on, as a rescan-and-recompute loop: a full
-    scan_redexes picks every step or batch, and a full _d_sequence follows
+    find_redexes picks every step or batch, and a full _d_sequence follows
     every step."""
     m = _MutFlow(flow)
     trace = []
@@ -135,10 +134,10 @@ def reference_normalize(flow, strategy):
 
     if strategy == "wk-first":
         for sub in (WK, CONT):
-            while redexes := scan_redexes(m, sub):
+            while redexes := find_redexes(m, sub):
                 run(redexes)
     else:
-        while redexes := scan_redexes(m, CONT) or scan_redexes(m, WK):
+        while redexes := find_redexes(m, CONT) or find_redexes(m, WK):
             run(redexes[:1])
     return m.freeze(), trace
 
@@ -166,11 +165,11 @@ def test_wk_first_batches_are_disjoint_ordered_maximal_and_phased(seed, steps):
 
     def redexes_of(sub):
         assert not pending, "wk_first_batches scanned before the batch was applied"
-        return scan_redexes(m, sub)
+        return find_redexes(m, sub)
 
     phases = []
     for sub, batch in wk_first_batches(redexes_of):
-        redexes = scan_redexes(m, sub)
+        redexes = find_redexes(m, sub)
         assert batch and batch == sorted(batch, key=_order)
         anchors = [n for r in batch for n in r.anchors()]
         assert len(anchors) == len(set(anchors))
@@ -183,7 +182,7 @@ def test_wk_first_batches_are_disjoint_ordered_maximal_and_phased(seed, steps):
             m.apply(r)
         pending.clear()
     assert phases == sorted(phases, key=lambda sub: sub is CONT)
-    assert scan_redexes(m, NORM) == []
+    assert find_redexes(m, NORM) == []
 
 
 @pytest.mark.parametrize(
