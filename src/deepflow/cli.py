@@ -86,16 +86,16 @@ def _emit(report, as_json: bool):
             print(json.dumps(report["metrics"], indent=1))
 
 
-def _run_checked(args, fn):
+def _run_checked(args, argv):
     report = {
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(argv),
         "inputs": [],
         "outputs": [],
         "assertions": [],
     }
     t0 = time.time()
     try:
-        code = fn(args, report)
+        code = args.fn(args, report)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -160,18 +160,16 @@ def cmd_normalize(args, report):
 
 
 def cmd_metrics(args, report):
-    text = _read(args.path)
-    report["inputs"].append({"path": args.path, "sha256": _digest(text.encode())})
     if args.path.endswith(".json"):
+        text = _read(args.path)
+        report["inputs"].append({"path": args.path, "sha256": _digest(text.encode())})
         try:
             flow = from_json(text)
         except ValueError as exc:
-            raise CliError(f"bad flow JSON: {exc}", 2)
+            raise CliError(f"{args.path}: {exc}", 2)
     else:
-        try:
-            d = dparse(text)
-        except (SksdSyntaxError, FormulaSyntaxError) as exc:
-            raise CliError(f"parse error: {exc}", 2)
+        d, digest = _load_derivation(args.path)
+        report["inputs"].append({"path": args.path, "sha256": digest})
         result = check(d, SKS)
         if not result.ok:
             report["assertions"].append(("check", False, "input does not check in SKS"))
@@ -347,8 +345,9 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
-    return _run_checked(args, args.fn)
+    return _run_checked(args, argv)
 
 
 if __name__ == "__main__":

@@ -518,7 +518,9 @@ def to_json(flow: AtomicFlow) -> str:
 
 
 def from_json(text: str) -> AtomicFlow:
-    """Parse and validate flow JSON; every malformed input raises ValueError."""
+    """Parse and validate flow JSON.  Every malformed input raises
+    ValueError; a graph that fails validate raises the AtomicFlow
+    constructor's."""
     try:
         data = json.loads(text)
         nodes = [(int(n["id"]), n["kind"]) for n in data["nodes"]]
@@ -537,7 +539,4 @@ def from_json(text: str) -> AtomicFlow:
             if i in seen:
                 raise ValueError(f"invalid flow JSON: duplicate {what} id {i}")
             seen.add(i)
-    try:
-        return AtomicFlow(nodes, edges)
-    except ValueError as exc:
-        raise ValueError(f"invalid flow JSON: {exc}") from exc
+    return AtomicFlow(nodes, edges)

@@ -21,9 +21,23 @@ LIT = "lit"
 AND = "and"
 OR = "or"
 
-# (kind, a, b) -> the one live node with that structure; children are
-# interned themselves, so the key hashes and compares them by identity
-_table = weakref.WeakValueDictionary()
+# (kind, a, b) -> a weak reference to the one live node with that structure;
+# children are interned themselves, so the key hashes and compares them by
+# identity
+_table = {}
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry):
+    # the callback of a dead node's entry; a newer node of the same
+    # structure may have taken the key already
+    if _table.get(entry.key) is entry:
+        del _table[entry.key]
 
 
 class Formula:
@@ -41,14 +55,16 @@ class Formula:
 
     def __new__(cls, kind, a=None, b=None):
         key = (kind, a, b)
-        f = _table.get(key)
+        ref = _table.get(key)
+        f = None if ref is None else ref()
         if f is None:
             f = object.__new__(cls)
             f.kind = kind
             f.a = a
             f.b = b
             f._s = f._canon = f._cmap = f._nocc = None
-            _table[key] = f
+            entry = _table[key] = _Entry(f, _forget)
+            entry.key = key
         return f
 
     def __repr__(self):

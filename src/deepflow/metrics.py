@@ -3,8 +3,9 @@
 An ai-path walks edges monotonically up or down and changes vertical
 direction only at identity and cut nodes; it is open when both endpoints are
 pending edge ends.  Open paths are counted modulo inversion.  The fast
-counter is a dynamic program over (edge, direction) states; the brute-force
-enumerator is the oracle it is tested against.
+counter is a dynamic program over one table of (edge, direction) states,
+which the length measure reads as well; the brute-force enumerator is the
+oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -23,91 +24,94 @@ class CapExceeded(ValueError):
     pass
 
 
-def _state_graph(flow: AtomicFlow):
-    """Successor states of each (edge, direction) traversal.
+def _state_table(flow: AtomicFlow):
+    """The ai-path states of a flow and a topological order of them.
 
-    Returns (succ, endnode) where succ[(e, dir)] is the list of next
-    traversals and endnode[(e, dir)] the node at the far end (None when the
-    far end is pending).
+    Edge i, counted by its position in flow.edges, has the down state 2i and
+    the up state 2i+1.  succ[s] is the tuple of states a path takes after s,
+    and far[s] the kind of the node that s runs into, None at a pending end;
+    the near end of s is the far end of s ^ 1.
     """
-    succ = {}
-    endnode = {}
-    for e, (src, tgt) in flow.edges.items():
-        # downward
-        nxt = []
+    state = {e: 2 * i for i, e in enumerate(flow.edges)}
+    nodes, ins, outs = flow.nodes, flow.ins, flow.outs
+    succ = []
+    far = []
+    for src, tgt in flow.edges.values():
         if tgt is None:
-            endnode[(e, DOWN)] = None
+            succ.append(())
+            far.append(None)
         else:
             n, port = tgt
-            kind = flow.nodes[n]
-            endnode[(e, DOWN)] = n
+            kind = nodes[n]
             if kind == ACD:
-                nxt = [(flow.outs[n][0], DOWN)]
+                succ.append((state[outs[n][0]],))
             elif kind == ACU:
-                nxt = [(flow.outs[n][0], DOWN), (flow.outs[n][1], DOWN)]
+                succ.append((state[outs[n][0]], state[outs[n][1]]))
             elif kind == AIU:
-                nxt = [(flow.ins[n][1 - port], UP)]
-            elif kind == AWU:
-                nxt = []
-            else:
-                raise AssertionError(f"edge enters {kind} from above")
-        succ[(e, DOWN)] = nxt
-        # upward
-        nxt = []
+                succ.append((state[ins[n][1 - port]] + 1,))
+            else:  # awu
+                succ.append(())
+            far.append(kind)
         if src is None:
-            endnode[(e, UP)] = None
+            succ.append(())
+            far.append(None)
         else:
             n, port = src
-            kind = flow.nodes[n]
-            endnode[(e, UP)] = n
+            kind = nodes[n]
             if kind == AID:
-                nxt = [(flow.outs[n][1 - port], DOWN)]
+                succ.append((state[outs[n][1 - port]],))
             elif kind == ACD:
-                nxt = [(flow.ins[n][0], UP), (flow.ins[n][1], UP)]
+                succ.append((state[ins[n][0]] + 1, state[ins[n][1]] + 1))
             elif kind == ACU:
-                nxt = [(flow.ins[n][0], UP)]
-            elif kind == AWD:
-                nxt = []
-            else:
-                raise AssertionError(f"edge leaves {kind} from below")
-        succ[(e, UP)] = nxt
-    return succ, endnode
-
-
-def _ordered_states(flow: AtomicFlow):
-    """The state graph of a valid flow and a topological order of its states."""
-    succ, endnode = _state_graph(flow)
-    order = topo_sort(succ)
+                succ.append((state[ins[n][0]] + 1,))
+            else:  # awd
+                succ.append(())
+            far.append(kind)
+    order = topo_sort(dict(enumerate(succ)))
     if order is None:
         raise PathCountDivergence("ai-path state graph is cyclic")
-    return succ, endnode, order
+    return succ, far, order
+
+
+def _paths_and_length(flow: AtomicFlow):
+    """(open ai-paths, length) in one reverse sweep of the state table.
+
+    count[s] is the number of paths from s to a pending end, and best[s] the
+    most node-kind changes along one of them.  Each open path is counted
+    once from each pending endpoint, so the path total is half the sum of
+    the counts of the states that leave a pending end.  A path may also
+    start at a node (say a weakening), so the length also counts the change
+    between a state's near and far node.
+    """
+    succ, far, order = _state_table(flow)
+    count = [1] * len(succ)
+    best = [0] * len(succ)
+    total = length = 0
+    for s in reversed(order):
+        kind = far[s]
+        near = far[s ^ 1]
+        if kind is not None:
+            c = b = 0
+            for t in succ[s]:
+                c += count[t]
+                v = best[t] + (far[t] is not None and far[t] != kind)
+                if v > b:
+                    b = v
+            count[s] = c
+            best[s] = b
+            if near is not None and near != kind:
+                b += 1
+            if b > length:
+                length = b
+        if near is None:
+            total += count[s]
+    assert total % 2 == 0
+    return total // 2, length
 
 
 def open_ai_paths(flow: AtomicFlow) -> int:
-    """Number of open ai-paths modulo inversion, by dynamic programming.
-
-    Each open path is counted once from each pending endpoint, so the total
-    is half the sum over pending ends of the continuation counts.
-    """
-    return _open_ai_paths(flow, _ordered_states(flow))
-
-
-def _open_ai_paths(flow, states):
-    succ, endnode, order = states
-    count = {}
-    for s in reversed(order):
-        if endnode[s] is None:
-            count[s] = 1
-        else:
-            count[s] = sum(count[t] for t in succ[s])
-    total = 0
-    for e, (src, tgt) in flow.edges.items():
-        if src is None:
-            total += count[(e, DOWN)]
-        if tgt is None:
-            total += count[(e, UP)]
-    assert total % 2 == 0
-    return total // 2
+    """Number of open ai-paths modulo inversion, by dynamic programming."""
+    return _paths_and_length(flow)[0]
 
 
 def open_ai_paths_bruteforce(flow: AtomicFlow, cap: int = 25) -> int:
@@ -210,71 +214,45 @@ def dimensions(flow: AtomicFlow):
     along any ai-path, with connected same-kind runs collapsed by that super
     node convention.  Breadth counts connected components.
     """
-    return _dimensions(flow, _ordered_states(flow))
+    length = _paths_and_length(flow)[1]
+    return (length, *_width_breadth(flow))
 
 
-def _dimensions(flow, states):
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _width_breadth(flow: AtomicFlow):
     if not flow.nodes and not flow.edges:
-        return 0, 0, 0
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # breadth: components over nodes and edges
-    parent = {("n", n): ("n", n) for n in flow.nodes}
-    parent.update((("e", e), ("e", e)) for e in flow.edges)
-    for e, (src, tgt) in flow.edges.items():
-        for end in (src, tgt):
-            if end is not None:
-                parent[find(parent, ("e", e))] = find(parent, ("n", end[0]))
-    breadth = len({find(parent, x) for x in parent})
+        return 0, 0
+    nodes = flow.nodes
+    # breadth: components over node ids; an edge pending at both ends is a
+    # component of its own, and an edge with one end belongs to its node's
+    parent = {n: n for n in nodes}
+    loose = 0
+    for src, tgt in flow.edges.values():
+        if src is not None and tgt is not None:
+            parent[_find(parent, src[0])] = _find(parent, tgt[0])
+        elif src is None and tgt is None:
+            loose += 1
+    breadth = len({_find(parent, n) for n in parent}) + loose
 
     # width: connected same-kind contraction blocks; an edge joining two
     # nodes of one kind joins their blocks
-    block = {n: n for n, k in flow.nodes.items() if k in (ACD, ACU)}
+    block = {n: n for n, k in nodes.items() if k in (ACD, ACU)}
     for src, tgt in flow.edges.values():
-        if src is not None and tgt is not None and src[0] in block and flow.nodes[src[0]] == flow.nodes[tgt[0]]:
-            block[find(block, src[0])] = find(block, tgt[0])
+        if src is not None and tgt is not None and src[0] in block and nodes[src[0]] == nodes[tgt[0]]:
+            block[_find(block, src[0])] = _find(block, tgt[0])
     sizes = {}
     for n in block:
-        r = find(block, n)
+        r = _find(block, n)
         sizes[r] = sizes.get(r, 0) + 1
     width = max(sizes.values(), default=0) + 1
+    return width, breadth
 
-    # length: max kind changes along any ai-path
-    succ, endnode, order = states
-    best = {}
-    for s in reversed(order):
-        n = endnode[s]
-        if n is None:
-            best[s] = 0
-            continue
-        kind = flow.nodes[n]
-        b = 0
-        for t in succ[s]:
-            m = endnode[t]
-            step = best[t] + (1 if m is not None and flow.nodes[m] != kind else 0)
-            if step > b:
-                b = step
-        best[s] = b
-    length = 0
-    for s, b in best.items():
-        if b > length:
-            length = b
-        # paths may also start at a node (e.g. at a weakening); count the
-        # change between that node and the first far node as well
-        e, direction = s
-        src, tgt = flow.edges[e]
-        near = src if direction == DOWN else tgt
-        far = endnode[s]
-        if near is not None and far is not None:
-            v = b + (1 if flow.nodes[near[0]] != flow.nodes[far] else 0)
-            if v > length:
-                length = v
-    return length, width, breadth
 
 
 def contraction_loops(flow: AtomicFlow):
@@ -354,8 +332,8 @@ def contraction_loops(flow: AtomicFlow):
 
 def metrics_record(flow: AtomicFlow) -> dict:
     """The JSON-facing metrics summary of a flow."""
-    states = _ordered_states(flow)
-    length, width, breadth = _dimensions(flow, states)
+    paths, length = _paths_and_length(flow)
+    width, breadth = _width_breadth(flow)
     census = flow.kind_census()
     return {
         "edges": len(flow.edges),
@@ -363,6 +341,6 @@ def metrics_record(flow: AtomicFlow) -> dict:
         "length": length,
         "width": width,
         "breadth": breadth,
-        "open_ai_paths": str(_open_ai_paths(flow, states)),
+        "open_ai_paths": str(paths),
         "contraction_loops": [[u, v] for u, v in contraction_loops(flow)],
     }

@@ -44,6 +44,32 @@ def test_check_rejects_a_negated_unit(tmp_path, capsys):
     assert err == f"error: parse error in {bad}: T is a unit, not a variable name at position 8\n"
 
 
+def test_metrics_names_the_file_of_bad_input_once(tmp_path, capsys):
+    bad_flow = tmp_path / "bad.flow.json"
+    bad_flow.write_text('{"nodes":[{"id":0,"kind":"aid"}],"edges":[]}')
+    assert main(["metrics", str(bad_flow)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad_flow}: invalid flow: [('arity-violation', 'node 0 (aid) has 0/2 out-edges')]\n"
+    not_json = tmp_path / "not.flow.json"
+    not_json.write_text("nope")
+    assert main(["metrics", str(not_json)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {not_json}: Expecting value")
+    bad_proof = tmp_path / "bad.sksd"
+    bad_proof.write_text("(form (~T|a))")
+    assert main(["metrics", str(bad_proof)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: parse error in {bad_proof}: T is a unit, not a variable name at position 8\n"
+
+
+def test_json_report_echoes_the_parsed_argv(monkeypatch, demo_path, capsys):
+    monkeypatch.setattr("sys.argv", ["deepflow", "some", "extra", "args"])
+    assert main(["metrics", str(demo_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == f"metrics {demo_path} --json"
+    monkeypatch.setattr("sys.argv", ["deepflow", "check", str(demo_path), "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == f"check {demo_path} --json"
+
+
 def test_non_utf8_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.sksd"
     bad.write_bytes(b"(form a\xff)")

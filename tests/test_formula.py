@@ -5,8 +5,10 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deepflow import formula
 from deepflow.formula import (
     AND,
+    LIT,
     Formula,
     OR,
     FormulaSyntaxError,
@@ -289,6 +291,21 @@ def test_canonicalize_deep_alternation():
 
     assert canonicalize(deep()) == lit("a")
     assert canonical_occurrence_map(deep()) == (0,)
+
+
+def test_a_dropped_formula_leaves_the_intern_table():
+    before = len(formula._table)
+    f = conj(lit("dropped_a"), disj(lit("dropped_b"), top))
+    assert len(formula._table) == before + 4
+    assert formula._table[(AND, f.a, f.b)]() is f
+    del f
+    assert len(formula._table) == before
+    # the callback of a dead node's entry leaves a newer node's entry alone
+    g = lit("dropped_a")
+    stale = formula._Entry(g)
+    stale.key = (LIT, "dropped_a", False)
+    formula._forget(stale)
+    assert formula._table[stale.key]() is g
 
 
 def test_canonicalize_leaves_no_cyclic_garbage():

@@ -2,14 +2,17 @@
 digits) of outputs that a refactor must leave unchanged."""
 
 import hashlib
+import json
 
 import pytest
 
 from deepflow.derivation import dprint
 from deepflow.families import cubic_flow, res_chain, tower_flow
+from deepflow.flow import extract
+from deepflow.metrics import metrics_record
 from deepflow.resolution import simulate
 from deepflow.rewrite import normalize, trace_to_json
-from deepflow.simulations import php_ks
+from deepflow.simulations import php_ks, php_ksplus
 
 
 def digest(text):
@@ -43,3 +46,12 @@ def test_resolution_chain_proof_bytes():
 def test_normalize_trace_bytes(flow, kwargs, expected):
     _, trace = normalize(flow(), **kwargs)
     assert digest(trace_to_json(trace)) == expected
+
+
+def test_metrics_record_bytes():
+    flows = [cubic_flow(n) for n in range(1, 21)] + [tower_flow(n) for n in range(11)]
+    flows += [normalize(f, measures=False)[0] for f in list(flows)]
+    for variant in ("F", "O", "OF"):
+        flows += [extract(php_ksplus(2, variant)).flow, extract(php_ks(2, variant)).flow]
+    records = json.dumps([metrics_record(f) for f in flows], sort_keys=True)
+    assert digest(records) == "65a5c228e3eb1596"

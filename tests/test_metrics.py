@@ -1,7 +1,11 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_metrics
 from corpus import ks_plus_proof_flows, small_flows
-from deepflow.derivation import ACU, AID, AIU
+from deepflow.derivation import ACU, AID, AIU, AWD
 from deepflow.families import (
     contraction_loop_flow,
     cubic_flow,
@@ -9,9 +13,10 @@ from deepflow.families import (
     demo_reduced_flow,
     demo_proof,
     max_ai_paths_flow,
+    random_ks_plus_proof,
     tower_flow,
 )
-from deepflow.flow import AtomicFlow, FlowBuilder, extract
+from deepflow.flow import AtomicFlow, FlowBuilder, extract, flip_dual
 from deepflow.formula import top
 from deepflow.metrics import (
     CapExceeded,
@@ -98,10 +103,40 @@ def test_cyclic_ai_path_graph_diverges():
     fb.edge((i, 0), (c, 0))
     fb.edge((i, 1), (c, 1))
     f = fb.build()
-    with pytest.raises(PathCountDivergence):
-        open_ai_paths(f)
-    with pytest.raises(PathCountDivergence):
-        dimensions(f)
+    for measure in (open_ai_paths, dimensions, metrics_record):
+        for impl in (measure, getattr(reference_metrics, measure.__name__)):
+            with pytest.raises(PathCountDivergence, match="ai-path state graph is cyclic"):
+                impl(f)
+
+
+def assert_matches_reference(f):
+    assert metrics_record(f) == reference_metrics.metrics_record(f)
+    assert open_ai_paths(f) == reference_metrics.open_ai_paths(f)
+    assert dimensions(f) == reference_metrics.dimensions(f)
+
+
+@given(st.integers(0, 2**32), st.integers(2, 10))
+@settings(max_examples=60, deadline=None)
+def test_metrics_match_reference_on_random_proofs(seed, steps):
+    f = extract(random_ks_plus_proof(random.Random(seed), steps=steps)).flow
+    dual = flip_dual(f)
+    # normal forms leave edge ids sparse, so state numbers differ from ids
+    for g in (f, dual, normalize(f, measures=False)[0], normalize(dual, measures=False)[0]):
+        assert_matches_reference(g)
+
+
+def test_metrics_match_reference_on_small_cases():
+    loose = FlowBuilder()
+    loose.edge()  # pending at both ends: a component of its own
+    w = loose.node(AWD)
+    loose.edge((w, 0), None)
+    i = loose.node(AID)
+    loose.edge((i, 0), None)
+    loose.edge((i, 1), None)
+    f = loose.build()
+    assert dimensions(f)[2] == 3
+    for g in (AtomicFlow({}, {}), AtomicFlow({}, {0: (None, None)}), f, max_ai_paths_flow(), demo_reduced_flow()):
+        assert_matches_reference(g)
 
 
 def test_contraction_loops_example():
