@@ -66,15 +66,19 @@ def dual_system(system):
 
 LEAF, COMP, STEP = "leaf", "comp", "step"
 
+# the bits of Derivation._bare: the sides on which _strip leaves a node as it is
+_TOP_BARE, _BOTTOM_BARE = 1, 2
+
 
 class Derivation:
     """Leaf(formula) | Compose(connective, left, right) | Step(rule, upper, lower).
 
     Nodes are immutable and built children first, so each node takes its
-    premiss, conclusion and size from its children when it is built.
+    premiss, conclusion and size from its children when it is built, and
+    the sides on which it holds no eq re-anchor (see _strip).
     """
 
-    __slots__ = ("kind", "rule", "a", "b", "_pr", "_cn", "_size", "_valid")
+    __slots__ = ("kind", "rule", "a", "b", "_pr", "_cn", "_size", "_valid", "_bare")
 
     def __init__(self, kind, rule=None, a=None, b=None):
         self.kind = kind
@@ -84,14 +88,22 @@ class Derivation:
         if kind == LEAF:
             self._pr = self._cn = a
             self._size = n_occurrences(a)
+            self._bare = _TOP_BARE | _BOTTOM_BARE
         elif kind == COMP:
             self._pr = Formula(rule, a._pr, b._pr)
             self._cn = Formula(rule, a._cn, b._cn)
             self._size = a._size + b._size
+            self._bare = a._bare & b._bare
         else:
             self._pr = a._pr
             self._cn = b._cn
             self._size = a._size + b._size
+            if rule == EQ:
+                self._bare = (0 if a.kind == LEAF else a._bare & _TOP_BARE) | (
+                    0 if b.kind == LEAF else b._bare & _BOTTOM_BARE
+                )
+            else:
+                self._bare = (a._bare & _TOP_BARE) | (b._bare & _BOTTOM_BARE)
         self._valid = None  # see check
 
     def __repr__(self):
@@ -396,11 +408,60 @@ class GlueError(ValueError):
     pass
 
 
+def _strip(d: Derivation, side: str) -> Derivation:
+    """d less the eq re-anchor leaves on its "top" or "bottom" side.
+
+    The top side of a derivation touches its premiss and the bottom side its
+    conclusion.  An eq step with a leaf on the stripped side becomes the
+    strip of its other child, a composition strips both children, and any
+    other step strips only its upper child (top) or its lower child
+    (bottom), so every rule instance keeps its formulas.  The stripped side
+    changes only up to =, the other side not at all, and a node that holds
+    no re-anchor on that side (its _bare bit) is returned as the same
+    object, so the walk visits only the nodes it rebuilds.
+    """
+    upper = side == "top"
+    bit = _TOP_BARE if upper else _BOTTOM_BARE
+    if d._bare & bit:
+        return d
+    done = {}  # id(node) -> stripped node; every node stays reachable from d
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        if node.kind == COMP:
+            kids = (node.a, node.b)
+        else:
+            near, far = (node.a, node.b) if upper else (node.b, node.a)
+            drop = node.rule == EQ and near.kind == LEAF  # a re-anchor leaf
+            kids = (far,) if drop else (near,)
+        todo = [k for k in kids if not k._bare & bit and id(k) not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        new = [k if k._bare & bit else done[id(k)] for k in kids]
+        if node.kind == COMP:
+            done[id(node)] = compose(node.rule, *new)
+        elif drop:
+            done[id(node)] = new[0]
+        elif upper:
+            done[id(node)] = step(node.rule, new[0], node.b)
+        else:
+            done[id(node)] = step(node.rule, node.a, new[0])
+    return done[id(d)]
+
+
 def glue(*parts) -> Derivation:
     """Vertically compose derivations, inserting eq steps at the joints.
 
     Leaf arguments act as eq re-anchors: they restate the current conclusion
-    in a different =-equal shape.
+    in a different =-equal shape.  At each joint the two facing sides are
+    stripped of re-anchors (see _strip), since eq is a congruence and one eq
+    step spans the joint; the first premiss and the last conclusion stay
+    exactly as given.
     """
     parts = [p for p in parts if p is not None]
     if not parts:
@@ -415,7 +476,14 @@ def glue(*parts) -> Derivation:
             continue
         if not eq_mod(cn, premiss(p)):
             raise GlueError(f"cannot glue: {fprint(cn)} vs {fprint(premiss(p))}")
-        d = step(EQ, d, p)
+        up = _strip(d, "bottom")
+        lo = _strip(p, "top")
+        if lo.kind == LEAF and lo.a == conclusion(up):
+            d = up
+        elif up.kind == LEAF and up.a == premiss(lo):
+            d = lo
+        else:
+            d = step(EQ, up, lo)
     return d
 
 
@@ -427,19 +495,19 @@ def subformula_at(f: Formula, path) -> Formula:
 
 def in_context(context: Formula, path, sub: Derivation) -> Derivation:
     """Apply sub inside context at path; context|path must equal pr(sub)."""
-    if subformula_at(context, path) != premiss(sub):
-        raise GlueError("context hole does not match the subderivation premiss")
-
-    def rec(g, i):
-        if i == len(path):
-            return sub
+    spine = []  # the connectives the path passes through, outermost first
+    g = context
+    for branch in path:
         if g.kind not in (AND, OR):
             raise GlueError("path leaves the formula")
-        if path[i] == 0:
-            return compose(g.kind, rec(g.a, i + 1), leaf(g.b))
-        return compose(g.kind, leaf(g.a), rec(g.b, i + 1))
-
-    return rec(context, 0)
+        spine.append(g)
+        g = g.a if branch == 0 else g.b
+    if g != premiss(sub):
+        raise GlueError("context hole does not match the subderivation premiss")
+    d = sub
+    for g, branch in zip(reversed(spine), reversed(path)):
+        d = compose(g.kind, d, leaf(g.b)) if branch == 0 else compose(g.kind, leaf(g.a), d)
+    return d
 
 
 def step_at(context: Formula, path, rule: str, lower: Formula) -> Derivation:
@@ -634,15 +702,21 @@ class SubstitutionError(ValueError):
 
 
 def _subst_var(f: Formula, var: str, pos_repl: Formula, neg_repl: Formula) -> Formula:
-    if f.kind == "lit":
-        if f.a != var:
-            return f
-        return neg_repl if f.b else pos_repl
-    if f.kind in ("top", "bot"):
-        return f
-    a = _subst_var(f.a, var, pos_repl, neg_repl)
-    b = _subst_var(f.b, var, pos_repl, neg_repl)
-    return Formula(f.kind, a, b)
+    done = []  # the substituted subformulas, left to right
+    stack = [f]  # formulas to substitute in, and the connectives that join them
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            b = done.pop()
+            a = done.pop()
+            done.append(Formula(g, a, b))
+        elif g.kind == "lit" and g.a == var:
+            done.append(neg_repl if g.b else pos_repl)
+        elif g.kind in (AND, OR):
+            stack += (g.kind, g.b, g.a)
+        else:
+            done.append(g)
+    return done[0]
 
 
 def substitute_atom(d: Derivation, a: Formula, r: Formula) -> Derivation:

@@ -529,7 +529,8 @@ def from_json(text: str) -> AtomicFlow:
             s = None if e["from"] == PENDING_TOP else (int(e["from"][0]), int(e["from"][1]))
             t = None if e["to"] == PENDING_BOTTOM else (int(e["to"][0]), int(e["to"][1]))
             edges.append((int(e["id"]), (s, t)))
-    except (KeyError, IndexError, TypeError, OverflowError, RecursionError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError: text that is not JSON, or an id that is not a number;
         # OverflowError: an id of Infinity; RecursionError: json.loads on
         # too deeply nested input
         raise ValueError(f"invalid flow JSON: malformed ({exc!r})") from exc

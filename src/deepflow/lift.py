@@ -25,6 +25,7 @@ from .derivation import (
     AWD,
     AWU,
     COMP,
+    EQ,
     KS,
     KS_PLUS,
     LEAF,
@@ -128,6 +129,8 @@ def _rebuild(root: Derivation, trie) -> Derivation:
                 new = node
             elif node.kind == COMP:
                 new = compose(node.rule, a2, b2)
+            elif node.rule == EQ:
+                new = glue(a2, b2)
             else:
                 new = step(node.rule, a2, b2)
         fn = tr.get("repl")

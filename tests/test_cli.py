@@ -53,7 +53,19 @@ def test_metrics_names_the_file_of_bad_input_once(tmp_path, capsys):
     not_json = tmp_path / "not.flow.json"
     not_json.write_text("nope")
     assert main(["metrics", str(not_json)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {not_json}: Expecting value")
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {not_json}: invalid flow JSON: malformed "
+        "(JSONDecodeError('Expecting value: line 1 column 1 (char 0)'))\n"
+    )
+    bad_id = tmp_path / "bad_id.flow.json"
+    bad_id.write_text('{"nodes":[{"id":"x","kind":"aid"}],"edges":[]}')
+    assert main(["metrics", str(bad_id)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {bad_id}: invalid flow JSON: malformed "
+        "(ValueError(\"invalid literal for int() with base 10: 'x'\"))\n"
+    )
     bad_proof = tmp_path / "bad.sksd"
     bad_proof.write_text("(form (~T|a))")
     assert main(["metrics", str(bad_proof)]) == 2

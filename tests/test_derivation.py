@@ -182,7 +182,7 @@ def test_dualize_checks_in_dual_system():
 def test_size_examples():
     assert size(leaf(conj(a, neg(b)))) == 2
     assert size(step(AID, leaf(top), leaf(disj(a, ab)))) == 2
-    assert size(demo_proof()) == 36
+    assert size(demo_proof()) == 32
 
 
 def _reference_endpoints_and_size(d):
@@ -227,6 +227,21 @@ def test_deep_chain_endpoints_and_size():
     chain = dparse("(step eq " * 30000 + "(form a)" + " (form a))" * 30000)
     _assert_set_at_construction([chain])
     assert (premiss(chain), conclusion(chain), size(chain)) == (a, a, 30001)
+
+
+def test_in_context_and_substitute_atom_on_deep_formulas():
+    deep = a
+    for _ in range(25000):
+        deep = conj(deep, b)
+    d = in_context(deep, (0,) * 25000, leaf(a))
+    assert (premiss(d), conclusion(d), size(d)) == (deep, deep, 25001)
+    g = conclusion(substitute_atom(leaf(deep), b, c))
+    for _ in range(25000):
+        assert g.b == c
+        g = g.a
+    assert g == a
+    with pytest.raises(derivation.GlueError, match="path leaves the formula"):
+        in_context(deep, (0,) * 25001, leaf(a))
 
 
 def test_step_count_separate_from_size():

@@ -21,7 +21,7 @@ def digest(text):
 
 @pytest.mark.parametrize(
     "variant, expected",
-    [("F", "f1fa75f3207123c8"), ("O", "3a67223b31f3f5a1"), ("OF", "d87d32e48d374eb7")],
+    [("F", "85a3098ef18ed120"), ("O", "d3ce0c5414a6a3f0"), ("OF", "3f44a92ce60cd619")],
     ids=["F", "O", "OF"],
 )
 def test_php_proof_bytes(variant, expected):
@@ -29,7 +29,7 @@ def test_php_proof_bytes(variant, expected):
 
 
 def test_resolution_chain_proof_bytes():
-    assert digest(dprint(simulate(*res_chain(24)))) == "1e85c70d6ba2dcc6"
+    assert digest(dprint(simulate(*res_chain(24)))) == "d6c80db5578fa87e"
 
 
 @pytest.mark.parametrize(

@@ -79,3 +79,27 @@ def test_flow_dicts_change_only_in_the_mutable_flow():
                 if node.func.attr in DICT_MUTATORS and _flow_dict(node.func.value):
                     found.append(f"{path.name}:{node.lineno} calls {node.func.attr} on a flow dict")
     assert not found, found
+
+
+def test_eq_steps_are_made_only_by_glue():
+    """glue strips the re-anchors on both sides of each joint it makes, so
+    no code outside derivation.glue calls step(EQ, ...)."""
+
+    def names(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        )
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("derivation.py", "glue"):
+                allowed.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and names(node.func, "step") and node.args:
+                rule = node.args[0]
+                if names(rule, "EQ") or (isinstance(rule, ast.Constant) and rule.value == "eq"):
+                    found.append(f"{path.name}:{node.lineno} calls step(EQ, ...)")
+    assert not found, found

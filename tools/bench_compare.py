@@ -16,7 +16,11 @@ the working tree first on even seeds.  The result goes to
 ``BENCH_<name>.json`` at the repository root.  It holds the per-seed metrics
 and the medians of both trees, the base commit, the commit the working tree
 sits on and whether it has uncommitted changes, the CPU count and the Python
-version.  The exit status is 1 if any run was incorrect or failed operations.
+version.  Per workload it also holds, for each metric that BENCHMARK.json
+gives a direction (``better``), the number of pairs the working tree wins, a
+tie counting as no win (``pairs_won_by_change``), and the interquartile range
+of the base runs (``base_iqr``, from ``statistics.quantiles``).  The exit
+status is 1 if any run was incorrect or failed operations.
 """
 
 from __future__ import annotations
@@ -73,9 +77,33 @@ def run_once(tree, command, workload, seed, seconds):
     return {**out, **metrics}
 
 
-def medians(runs):
+def values(runs):
+    """Per metric, its values over the runs, in run order."""
     names = dict.fromkeys(m for r in runs for m in r if m not in ("correct", "attempted", "failed"))
-    return {m: statistics.median(r[m] for r in runs if m in r) for m in names}
+    return {m: [r[m] for r in runs if m in r] for m in names}
+
+
+def medians(runs):
+    return {m: statistics.median(v) for m, v in values(runs).items()}
+
+
+def iqrs(runs):
+    out = {}
+    for m, v in values(runs).items():
+        if len(v) > 1:
+            q1, _, q3 = statistics.quantiles(v, n=4)
+            out[m] = q3 - q1
+    return out
+
+
+def pairs_won(rows, better):
+    """Per metric, the number of pairs in which the change is better."""
+    won = {}
+    for m, direction in better.items():
+        pairs = [(row["base"][m], row["change"][m]) for row in rows if m in row["base"] and m in row["change"]]
+        if pairs:
+            won[m] = sum(c < b if direction == "lower" else c > b for b, c in pairs)
+    return won
 
 
 def main(argv=None):
@@ -87,6 +115,7 @@ def main(argv=None):
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     command, seconds = bench["command"], bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench.get("per_layer", [])}
     report = {
         "command": " ".join(command) + f" --workload W --seed S --seconds {seconds:g} --trace 0",
         "base": {"commit": base},
@@ -116,6 +145,8 @@ def main(argv=None):
             report["workloads"][w] = {
                 "seeds": rows,
                 "median": {side: medians([row[side] for row in rows]) for side in ("base", "change")},
+                "pairs_won_by_change": pairs_won(rows, better),
+                "base_iqr": iqrs([row["base"] for row in rows]),
             }
     out = os.path.join(root, f"BENCH_{args.name}.json")
     with open(out, "w") as fh:
