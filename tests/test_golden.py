@@ -7,12 +7,13 @@ import json
 import pytest
 
 from deepflow.derivation import dprint
-from deepflow.families import cubic_flow, res_chain, tower_flow
+from deepflow.families import cubic_flow, php_refutation, res_chain, tower_flow
 from deepflow.flow import extract
+from deepflow.formula import fparse
 from deepflow.metrics import metrics_record
-from deepflow.resolution import simulate
+from deepflow.resolution import Axiom, AndStep, Res, ResDerivation, clause_of, simulate, term_of
 from deepflow.rewrite import normalize, trace_to_json
-from deepflow.simulations import php_ks, php_ksplus
+from deepflow.simulations import php_ks, php_ksplus, sks_php_proof, switch_cut, truthtable_ks
 
 
 def digest(text):
@@ -30,6 +31,29 @@ def test_php_proof_bytes(variant, expected):
 
 def test_resolution_chain_proof_bytes():
     assert digest(dprint(simulate(*res_chain(24)))) == "d6c80db5578fa87e"
+
+
+def _resolution_f_refutation():
+    pi = ResDerivation(mode="multiset", fmax=2)
+    axioms = [clause_of("a"), clause_of("b"), clause_of("~a", "~b")]
+    b0, b1, b2 = pi.add(Axiom(0)), pi.add(Axiom(1)), pi.add(Axiom(2))
+    pi.add(Res(pi.add(AndStep(b0, b1)), b2, term_of("a*b")))
+    return pi, axioms
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: truthtable_ks(fparse("((~a|~b)|(a&b))")), "633963db1ba3d4fe"),
+        (lambda: truthtable_ks(fparse("(((a&b)&c)|((~a|~b)|~c))")), "44789bc56880f5af"),
+        (lambda: switch_cut(sks_php_proof(2)), "960c2d406145f5cf"),
+        (lambda: simulate(*_resolution_f_refutation()), "e768e55b74343001"),
+        (lambda: simulate(*php_refutation(multiset=True)), "34986e5eef6eda19"),
+    ],
+    ids=["truthtable-2", "truthtable-3", "switch-cut-php-2", "resolution-f", "php-refutation-multiset"],
+)
+def test_compiler_proof_bytes(build, expected):
+    assert digest(dprint(build())) == expected
 
 
 @pytest.mark.parametrize(
