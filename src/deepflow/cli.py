@@ -33,7 +33,7 @@ from .lift import normalize_proof
 from .metrics import PathCountDivergence, metrics_record, open_ai_paths
 from .resolution import ResCheckFailure, ResSyntaxError, parse_res, simulate
 from .rewrite import WK, normalize, trace_to_json
-from .simulations import php_formula, php_ks, truthtable_ks
+from .simulations import php_formula, php_ks, php_ksplus, truthtable_ks
 
 SYSTEMS = {"KS": KS, "KS+": KS_PLUS, "SKS": SKS}
 
@@ -263,8 +263,6 @@ def cmd_bench(args, report):
             wk = sum(1 for t in trace if t.rule in WK)
             row = (n, flow.n_edges, nf.n_edges, wk, len(trace) - wk, open_ai_paths(flow))
         elif args.family == "php":
-            from .simulations import php_ksplus
-
             p = php_ksplus(n, args.variant, cap=max(3, n))
             out, nrep = normalize_proof(p, with_report=True)
             row = (n, nrep.input_size, nrep.output_size, nrep.wk_steps, nrep.cont_steps,

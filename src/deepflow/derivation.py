@@ -24,6 +24,7 @@ from .formula import (
     bot,
     conj,
     disj,
+    disj_all,
     dual,
     eq_mod,
     fprint,
@@ -489,6 +490,8 @@ def glue(*parts) -> Derivation:
 
 def subformula_at(f: Formula, path) -> Formula:
     for branch in path:
+        if f.kind not in (AND, OR):
+            raise GlueError("path leaves the formula")
         f = f.a if branch == 0 else f.b
     return f
 
@@ -569,9 +572,7 @@ def _gwd(a: Formula) -> Derivation:
         return leaf(bot)
     if a.kind == "top":
         return _bot_to_top()
-    conn = a.kind
-    start = conj(bot, bot) if conn == AND else disj(bot, bot)
-    return glue(leaf(bot), glue(leaf(start), compose(conn, _gwd(a.a), _gwd(a.b))))
+    return glue(leaf(bot), compose(a.kind, _gwd(a.a), _gwd(a.b)))
 
 
 def _gid(a: Formula) -> Derivation:
@@ -597,7 +598,7 @@ def _gid(a: Formula) -> Derivation:
         )
         return glue(
             leaf(top),
-            glue(leaf(conj(top, top)), both),
+            both,
             s1,
             in_context(disj(conj(disj(c, cd), b), bd), (0,), inner),
             leaf(disj(a, disj(bd, cd))),
@@ -614,7 +615,7 @@ def _gid(a: Formula) -> Derivation:
     )
     return glue(
         leaf(top),
-        glue(leaf(conj(top, top)), both),
+        both,
         s1,
         in_context(disj(conj(disj(b, bd), cd), c), (0,), inner),
         leaf(disj(a, conj(bd, cd))),
@@ -664,8 +665,6 @@ def pair_block(left_f: Formula, s_f: Formula, right_f: Formula, t_f: Formula) ->
 def dedupe_disjunction(elements) -> Derivation:
     """Contract duplicated disjuncts: from the balanced disjunction of
     `elements` to that of their first occurrences."""
-    from .formula import disj_all
-
     elements = list(elements)
     start = disj_all(elements)
     for i in range(len(elements)):
@@ -679,6 +678,32 @@ def dedupe_disjunction(elements) -> Derivation:
                     block = glue(leaf(start), expand_generic(GCD, elements[i]))
                 return glue(block, dedupe_disjunction([elements[i]] + rest))
     return leaf(start)
+
+
+def disj_compose(parts) -> Derivation:
+    """The |-composition of derivations, in the balanced shape of disj_all."""
+    if not parts:
+        raise ValueError("nothing to compose")
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return compose(OR, disj_compose(parts[:mid]), disj_compose(parts[mid:]))
+
+
+def contract_copies(f: Formula, copies: int) -> Derivation:
+    """From disj_all([f] * copies) to f by generic contractions."""
+    if copies < 1:
+        raise ValueError("need at least one copy")
+    if copies == 1:
+        return leaf(f)
+    mid = copies // 2
+    halves = compose(OR, contract_copies(f, mid), contract_copies(f, copies - mid))
+    return glue(halves, expand_generic(GCD, f))
+
+
+def weaken_left(f: Formula, g: Formula) -> Derivation:
+    """From [F|f] to [g|f] by a generic weakening."""
+    return in_context(disj(bot, f), (0,), expand_generic(GWD, g))
 
 
 def fan_literal(l: Formula, copies: int) -> Derivation:

@@ -33,6 +33,7 @@ from .derivation import (
 )
 from .flow import AtomicFlow, FlowBuilder
 from .formula import Formula, bot, conj, disj, lit, neg, top
+from .resolution import Axiom, Clause, Res, ResDerivation, term_of
 
 
 def tower_flow(n: int) -> AtomicFlow:
@@ -277,8 +278,6 @@ def critical_pair_flows():
 
 def res_chain(n: int):
     """Tree-like set refutation chaining n resolutions through implications."""
-    from .resolution import Axiom, Clause, Res, ResDerivation, term_of
-
     pi = ResDerivation(mode="set", tree_like=True)
     axioms = [Clause((term_of("x1"),))]
     for i in range(1, n):
@@ -294,8 +293,6 @@ def res_chain(n: int):
 
 def php_refutation(multiset: bool = False):
     """A refutation of the three clauses of the one-hole pigeon problem."""
-    from .resolution import Axiom, Clause, Res, ResDerivation, term_of
-
     pi = ResDerivation(mode="multiset" if multiset else "set", tree_like=not multiset)
     axioms = [Clause((term_of("a01"),)), Clause((term_of("a11"),)),
               Clause((term_of("~a01"), term_of("~a11")))]

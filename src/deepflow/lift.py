@@ -209,15 +209,7 @@ def _repair_id_cu(node: Derivation) -> Derivation:
     )
     w1 = in_context(disj(conj(pair, c), b), (0,), inner)
     w2 = in_context(disj(conj(c, c), disj(b, b)), (1,), step(ACD, leaf(disj(b, b)), leaf(b)))
-    block = glue(
-        leaf(top),
-        leaf(conj(top, top)),
-        ids,
-        s1,
-        w1,
-        leaf(disj(conj(c, c), disj(b, b))),
-        w2,
-    )
+    block = glue(leaf(top), ids, s1, w1, w2)
     return glue(node.a, block, node.b)
 
 

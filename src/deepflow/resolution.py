@@ -326,11 +326,7 @@ def _conj_lines(formulas):
 
 def _line_path(n_lines, index):
     """Path of line `index` inside the left-nested conjunction of n_lines."""
-    if n_lines == 1:
-        return ()
-    if index == n_lines - 1:
-        return (1,)
-    return (0,) + _line_path(n_lines - 1, index)
+    return (0,) * (n_lines - 1 - index) + ((1,) if index else ())
 
 
 def translate_R(pi: ResDerivation, axioms) -> Derivation:
@@ -356,8 +352,7 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
             src_f = axiom_clauses[line.index].formula()
             path = _line_path(len(axiom_clauses), line.index)
             dup = in_context(gf, path, expand_generic(GCU, src_f))
-            block = glue(leaf(gf), dup, leaf(conj(gf, src_f)))
-            d = glue(block, compose("and", d, leaf(src_f)))
+            d = glue(dup, compose("and", d, leaf(src_f)))
         else:
             if isinstance(line, Wk):
                 inner = _wk_inner(report.clauses[line.source], line.added, cl, mode)
@@ -374,12 +369,9 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
                 src_f = line_formulas[s_idx]
                 d = glue(d, in_context(work, path, expand_generic(GCU, src_f)))
                 work = conclusion(d)
+            # a derived line follows its sources, so it is a right conjunct
             pulled = _conj_lines(line_formulas + [premiss(inner)])
-            d = glue(
-                d,
-                leaf(pulled),
-                in_context(pulled, _line_path(len(line_formulas) + 1, len(line_formulas)), inner),
-            )
+            d = glue(d, in_context(pulled, (1,), inner))
         line_formulas.append(clf)
         d = glue(d, leaf(_conj_lines(line_formulas)))
     return d
@@ -413,48 +405,40 @@ def _res_inner(left: Clause, right: Clause, pivot: Term, cl: Clause, mode: str) 
     relems = list(right.elements)
     for l in pivot.dual_literals():
         relems.remove(literal_term(l))
-    lf = disj_all([t.formula() for t in left_rest])
-    rf = disj_all([t.formula() for t in relems])
-    pre = conj(left.formula(), right.formula())
-    block = pair_block(lf, s_f, rf, t_f)
     cut = (
         step(AIU, leaf(conj(t_f, s_f)), leaf(bot))
         if pivot.size == 1
         else expand_generic(GIU, t_f)
     )
-    after = glue(
-        leaf(premiss(block)),
-        block,
-        in_context(disj(disj(conj(t_f, s_f), lf), rf), (0, 0), cut),
-        leaf(disj_all([t.formula() for t in left_rest + tuple(relems)])),
-    )
-    merged = left_rest + tuple(relems)
-    if mode == "set" and len(set(merged)) != len(merged):
-        after = glue(after, dedupe_disjunction([t.formula() for t in merged]))
-    return glue(leaf(pre), after, leaf(cl.formula()))
+    return _pair_step(left, right, left_rest, s_f, tuple(relems), t_f, cut, (), cl, mode)
 
 
 def _and_inner(left: Clause, right: Clause, cl: Clause, mode: str) -> Derivation:
     s = left.elements[-1]
     t = right.elements[-1]
-    s_f = s.formula()
-    t_f = t.formula()
     left_rest = _remove_once(left.elements, s)
     right_rest = _remove_once(right.elements, t)
+    new = Term(s.literals + t.literals)
+    return _pair_step(
+        left, right, left_rest, s.formula(), right_rest, t.formula(), None, (new,), cl, mode
+    )
+
+
+def _pair_step(left, right, left_rest, s_f, right_rest, t_f, cut, new, cl, mode) -> Derivation:
+    """From (left & right) to cl, where left is [left_rest | s_f] and right
+    is [right_rest | t_f] up to =: pair_block brings (t_f & s_f) out, cut
+    (when given) takes it to F, and the new terms stand in its place."""
     lf = disj_all([x.formula() for x in left_rest])
     rf = disj_all([x.formula() for x in right_rest])
-    pre = conj(left.formula(), right.formula())
-    block = pair_block(lf, s_f, rf, t_f)
-    new = Term(s.literals + t.literals)
-    merged = left_rest + right_rest + (new,)
+    merged = left_rest + right_rest + new
     after = glue(
-        leaf(premiss(block)),
-        block,
+        pair_block(lf, s_f, rf, t_f),
+        None if cut is None else in_context(disj(disj(conj(t_f, s_f), lf), rf), (0, 0), cut),
         leaf(disj_all([x.formula() for x in merged])),
     )
     if mode == "set" and len(set(merged)) != len(merged):
         after = glue(after, dedupe_disjunction([x.formula() for x in merged]))
-    return glue(leaf(pre), after, leaf(cl.formula()))
+    return glue(leaf(conj(left.formula(), right.formula())), after, leaf(cl.formula()))
 
 
 # -- end-to-end simulation ------------------------------------------------------------
@@ -475,8 +459,7 @@ def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
         raise UnsupportedModeError("set-mode refutations are only supported tree-like")
 
     r_der = translate_R(pi, axioms)
-    census = rule_census(r_der)
-    if pi.mode == "multiset" and census.get(ACD, 0) != 0:
+    if pi.mode == "multiset" and rule_census(r_der).get(ACD, 0) != 0:
         raise AssertionError("multiset translation produced contraction steps")
 
     # finish at F: coweaken everything except the final empty line

@@ -39,7 +39,9 @@ from .derivation import (
     check,
     compose,
     conclusion,
+    contract_copies,
     dedupe_disjunction,
+    disj_compose,
     ensure_checked,
     expand_generic,
     fan_literal,
@@ -51,7 +53,9 @@ from .derivation import (
     premiss,
     rule_census,
     step,
+    weaken_left,
 )
+from .flow import extract
 from .formula import (
     Formula,
     bot,
@@ -71,6 +75,7 @@ from .formula import (
     variables,
 )
 from .lift import normalize_proof
+from .metrics import dimensions
 
 class SimulationError(ValueError):
     pass
@@ -93,39 +98,23 @@ def gamma_of_assignment(assignment, order=None) -> Formula:
 def _psi(variables_in_order):
     """Proof of the disjunction of all assignment conjunctions.
 
-    Returns (derivation, tree) where the tree mirrors the conclusion: leaves
-    are (gamma formula, assignment dict), inner nodes are (true branch,
-    false branch).
+    Returns (derivation, cases): the conclusion is the disj_all of the
+    cases' gamma formulas, and each case is a (gamma formula, assignment
+    dict) pair.
     """
     v0 = variables_in_order[0]
     l0, l0n = lit(v0), lit(v0, True)
     d = step(AID, leaf(top), leaf(disj(l0, l0n)))
-    tree = ("node", ("leaf", l0, {v0: True}), ("leaf", l0n, {v0: False}))
+    cases = [(l0, {v0: True}), (l0n, {v0: False})]
     for v in variables_in_order[1:]:
-        blocks = {}
-
-        def extend(t):
-            if t[0] == "leaf":
-                _, g, assign = t
-                block, g1, g0 = _psi_extension(v, g)
-                new = (
-                    "node",
-                    ("leaf", g1, {**assign, v: True}),
-                    ("leaf", g0, {**assign, v: False}),
-                )
-                blocks[id(t)] = block
-                return new
-            return ("node", extend(t[1]), extend(t[2]))
-
-        def build(t, old):
-            if old[0] == "leaf":
-                return blocks[id(old)]
-            return compose("or", build(t[1], old[1]), build(t[2], old[2]))
-
-        new_tree = extend(tree)
-        d = glue(d, build(new_tree, tree))
-        tree = new_tree
-    return d, tree
+        blocks, extended = [], []
+        for g, assign in cases:
+            block, g1, g0 = _psi_extension(v, g)
+            blocks.append(block)
+            extended += [(g1, {**assign, v: True}), (g0, {**assign, v: False})]
+        d = glue(d, disj_compose(blocks))
+        cases = extended
+    return d, cases
 
 
 def _psi_extension(v, g):
@@ -138,15 +127,7 @@ def _psi_extension(v, g):
     f3 = conj(g, disj(xn, conj(g, x)))
     s2 = step(S, leaf(f3), leaf(disj(conj(g, xn), conj(g, x))))
     g1, g0 = conj(x, g), conj(xn, g)
-    block = glue(
-        leaf(g),
-        d1,
-        leaf(f2),
-        in_context(f2, (1,), inner),
-        leaf(f3),
-        s2,
-        leaf(disj(g1, g0)),
-    )
+    block = glue(leaf(g), d1, in_context(f2, (1,), inner), s2, leaf(disj(g1, g0)))
     return block, g1, g0
 
 
@@ -163,8 +144,7 @@ def _phi(part: Formula, assignment) -> Derivation:
     if evaluate(part.a, assignment):
         sub = _phi(part.a, assignment)
         return glue(sub, in_context(disj(part.a, bot), (1,), expand_generic(GWD, part.b)))
-    sub = _phi(part.b, assignment)
-    return glue(sub, in_context(disj(bot, part.b), (0,), expand_generic(GWD, part.a)))
+    return glue(_phi(part.b, assignment), weaken_left(part.b, part.a))
 
 
 def _bridge(g: Formula, phi_premiss: Formula) -> Derivation:
@@ -196,21 +176,12 @@ def truthtable_ksplus(tau: Formula, max_vars: int = 14) -> Derivation:
     if not vs:
         return glue(leaf(top), leaf(tau))
 
-    psi, tree = _psi(vs)
-
-    def per_assignment(t):
-        if t[0] == "leaf":
-            _, g, assign = t
-            phi = _phi(tau, assign)
-            return glue(_bridge(g, premiss(phi)), phi)
-        return compose("or", per_assignment(t[1]), per_assignment(t[2]))
-
-    def contract(t):
-        if t[0] == "leaf":
-            return leaf(tau)
-        return glue(compose("or", contract(t[1]), contract(t[2])), expand_generic(GCD, tau))
-
-    d = glue(psi, per_assignment(tree), contract(tree))
+    psi, cases = _psi(vs)
+    per_case = []
+    for g, assign in cases:
+        phi = _phi(tau, assign)
+        per_case.append(glue(_bridge(g, premiss(phi)), phi))
+    d = glue(psi, disj_compose(per_case), contract_copies(tau, len(cases)))
     return ensure_checked(d, KS_PLUS)
 
 
@@ -220,9 +191,6 @@ def truthtable_ks(tau: Formula, max_vars: int = 14) -> Derivation:
     The KS+ intermediate has all cocontractions above all contractions; its
     flow length is checked bounded before normalizing.
     """
-    from .flow import extract
-    from .metrics import dimensions
-
     p = truthtable_ksplus(tau, max_vars)
     length, _, _ = dimensions(extract(p).flow)
     if length > 4:
@@ -262,19 +230,9 @@ def _pairs_formula(varnames) -> Formula:
 
 def _merge_pairs(d: Derivation, x: Formula, names) -> tuple:
     """Anchor [.. pair junk ..] to [x | sorted unique pairs]; returns (d, names)."""
-    names = list(names)
-    if not names:
-        return glue(d, leaf(disj(x, bot))), ()
-    formulas = [conj(lit(v), lit(v, True)) for v in names]
-    mid = disj(x, disj_all(formulas))
-    d = glue(d, leaf(mid))
     if len(set(names)) != len(names):
-        d = glue(d, in_context(mid, (1,), dedupe_disjunction(formulas)))
-        seen = []
-        for v in names:
-            if v not in seen:
-                seen.append(v)
-        names = seen
+        formulas = [conj(lit(v), lit(v, True)) for v in names]
+        d = glue(d, in_context(disj(x, disj_all(formulas)), (1,), dedupe_disjunction(formulas)))
     merged = sorted(set(names))
     d = glue(d, leaf(disj(x, _pairs_formula(merged))))
     return d, tuple(merged)
@@ -318,15 +276,13 @@ def _retain_cuts(d: Derivation):
         if node.rule != AIU and not pa and not pb:
             out = node if (da is node.a and db is node.b) else step(node.rule, da, db)
             return out, ()
-        da = wrap(da, pa)
         db = wrap(db, pb)
         cn_up = conclusion(node.a)
         pr_lo = premiss(node.b)
         pfa = _pairs_formula(pa)
         if node.rule == AIU:
             v = cn_up.a.a
-            host = disj(bot, disj(cn_up, pfa))
-            d2 = glue(da, leaf(host), in_context(host, (0,), db))
+            d2 = glue(da, in_context(disj(bot, disj(cn_up, pfa)), (0,), db))
             d2, merged = _merge_pairs(
                 d2, conclusion(node.b), list(pb) + list(pa) + [v]
             )
@@ -349,18 +305,12 @@ def switch_cut(d: Derivation) -> Derivation:
         raise SimulationError("switch_cut expects a proof")
     cn = conclusion(d)
     body, pairs = _retain_cuts(d)
-    if not pairs:
-        body = glue(body, leaf(disj(cn, bot)))
     targets = sorted(set(variables(cn)) | set(pairs))
     missing = sorted(set(targets) - set(pairs))
     if missing:
         pfp = _pairs_formula(pairs)
-        mid = disj(cn, disj(bot, pfp))
-        body = glue(
-            body,
-            leaf(mid),
-            in_context(mid, (1, 0), expand_generic(GWD, _pairs_formula(missing))),
-        )
+        weaken = weaken_left(pfp, _pairs_formula(missing))
+        body = glue(body, in_context(disj(cn, disj(bot, pfp)), (1,), weaken))
     body = glue(body, leaf(disj(cn, _pairs_formula(targets))))
     return normalize_proof(body)
 
@@ -438,19 +388,16 @@ def _php_satisfied(n, assign):
 def _leaf_proof(disjunct: Formula):
     """KS proof of [disjunct | its dual literals], one identity per literal."""
     lits = occurrence_literals(disjunct)
-
-    def rec(k):
-        if k == 1:
-            l = lits[0]
-            return step(AID, leaf(top), leaf(disj(l, neg(l)))), lits[0], [neg(lits[0])]
-        prev, dform, es = rec(k - 1)
-        l = lits[k - 1]
+    dform = lits[0]
+    es = [neg(dform)]
+    d = step(AID, leaf(top), leaf(disj(dform, neg(dform))))
+    for l in lits[1:]:
         pair = disj(l, neg(l))
         eform = disj_all(es)
         base = disj(dform, eform)
         d = glue(
             leaf(top),
-            compose("and", prev, step(AID, leaf(top), leaf(pair))),
+            compose("and", d, step(AID, leaf(top), leaf(pair))),
             step(S, leaf(conj(base, pair)), leaf(disj(conj(base, l), neg(l)))),
             in_context(
                 disj(conj(base, l), neg(l)),
@@ -462,9 +409,7 @@ def _leaf_proof(disjunct: Formula):
             ),
             leaf(disj(conj(l, dform), disj_all(es + [neg(l)]))),
         )
-        return d, conj(l, dform), es + [neg(l)]
-
-    d, dform, es = rec(len(lits))
+        dform, es = conj(l, dform), es + [neg(l)]
     return glue(d, leaf(disj(disjunct, disj_all(es)))), es
 
 
@@ -517,7 +462,6 @@ def sks_php_proof(n: int) -> Derivation:
             if e not in es:
                 es.append(e)
         merged = us1 + [e for e in es1 if e != xn] + us0 + [e for e in es0 if e != x]
-        d = glue(d, leaf(disj_all(merged)))
         if len(set(merged)) != len(merged):
             d = glue(d, dedupe_disjunction(merged))
         d = glue(d, leaf(disj_all(us + es)))
@@ -528,12 +472,7 @@ def sks_php_proof(n: int) -> Derivation:
         raise AssertionError("escape literals survived to the root")
     missing = [x for x in _php_rows(n) + _php_collisions(n) if x not in us]
     if missing:
-        mid = disj(bot, disj_all(us))
-        d = glue(
-            d,
-            leaf(mid),
-            in_context(mid, (0,), expand_generic(GWD, disj_all(missing))),
-        )
+        d = glue(d, weaken_left(disj_all(us), disj_all(missing)))
     d = glue(d, leaf(php))
     return ensure_checked(d, SKS)
 
@@ -542,8 +481,7 @@ def _ensure_escape(d, us, es, e):
     if e in es:
         return d, es
     cur = disj_all(us + es)
-    mid = disj(cur, bot)
-    d = glue(d, leaf(mid), in_context(mid, (1,), step(AWD, leaf(bot), leaf(e))))
+    d = glue(d, in_context(disj(cur, bot), (1,), step(AWD, leaf(bot), leaf(e))))
     return d, es + [e]
 
 
@@ -573,17 +511,12 @@ def phi_st(n: int, s: int, t: int, variant: str) -> Derivation:
     w = conj_all([neg(o) for o in others])
     v = dual(w)
 
-    d = glue(
-        leaf(pre),
-        leaf(conj(pre, top)),
-        in_context(conj(pre, top), (1,), expand_generic(GID, w)),
-    )
+    d = glue(leaf(pre), in_context(conj(pre, top), (1,), expand_generic(GID, w)))
     f1 = conj(a, conj(an, disj(w, v)))
     inner = step(S, leaf(conj(an, disj(w, v))), leaf(disj(conj(an, w), v)))
-    d = glue(d, leaf(f1), in_context(f1, (1,), inner))
+    d = glue(d, in_context(f1, (1,), inner))
     f2 = conj(a, disj(v, conj(an, w)))
-    s2 = step(S, leaf(f2), leaf(disj(conj(a, v), conj(an, w))))
-    d = glue(d, leaf(f2), s2)
+    d = glue(d, step(S, leaf(f2), leaf(disj(conj(a, v), conj(an, w)))))
 
     if others:
         host = disj(conj(a, v), conj(an, w))
@@ -592,17 +525,13 @@ def phi_st(n: int, s: int, t: int, variant: str) -> Derivation:
             host = disj(conj(conj_all([a] * len(others)), v), conj(an, w))
             d = glue(d, in_context(host, (0,), _distribute(a, others)))
         present = prods + [row]
-        d = glue(d, leaf(disj(bot, disj_all(present))))
-        mid = disj(bot, disj_all(present))
     else:
         # n = 1: kill the (a & F) disjunct with a coweakening
         host = disj(conj(a, bot), conj(an, top))
-        d = glue(d, leaf(host), in_context(host, (0, 0), step(AWU, leaf(a), leaf(top))))
+        d = glue(d, in_context(host, (0, 0), step(AWU, leaf(a), leaf(top))))
         present = [row]
-        mid = disj(bot, disj_all(present))
-        d = glue(d, leaf(mid))
     missing = [x for x in _variant_disjuncts(n, variant) if not any(eq_mod(x, p) for p in present)]
-    d = glue(d, in_context(mid, (0,), expand_generic(GWD, disj_all(missing))))
+    d = glue(d, weaken_left(disj_all(present), disj_all(missing)))
     d = glue(d, leaf(target))
     report = check(d, KS_PLUS)
     if not report.ok or ACD in rule_census(d):
@@ -621,10 +550,9 @@ def _distribute(a: Formula, elems):
     prem = conj(am, disj_all(elems))
     mid1 = conj(am1, conj(a, disj(elems[0], rest)))
     s_inner = step(S, leaf(conj(a, disj(elems[0], rest))), leaf(disj(conj(a, elems[0]), rest)))
-    d = glue(leaf(prem), leaf(mid1), in_context(mid1, (1,), s_inner))
+    d = glue(leaf(prem), in_context(mid1, (1,), s_inner))
     mid2 = conj(am1, disj(rest, conj(a, elems[0])))
-    s2 = step(S, leaf(mid2), leaf(disj(conj(am1, rest), conj(a, elems[0]))))
-    d = glue(d, leaf(mid2), s2)
+    d = glue(d, step(S, leaf(mid2), leaf(disj(conj(am1, rest), conj(a, elems[0])))))
     d = glue(
         d,
         in_context(disj(conj(am1, rest), conj(a, elems[0])), (0,), _distribute(a, elems[1:])),
@@ -652,51 +580,18 @@ def php_ksplus(n: int, variant: str, cap: int = 3) -> Derivation:
     php = php_formula(n, "plain")
     # the variables switch_cut pairs, in its order: every variable, by name
     pairs = sorted(((i, j) for i in range(n + 1) for j in range(1, n + 1)), key=lambda ij: php_var(*ij))
-
-    def php_side():
-        part = php_formula(n, variant).a
-        mid = disj(bot, php)
-        return glue(
-            leaf(php),
-            leaf(mid),
-            in_context(mid, (0,), expand_generic(GWD, part)),
-            leaf(target),
-        )
-
-    def pairs_ext(pairs):
-        if len(pairs) == 1:
-            i, j = pairs[0]
-            return phi_st(n, i, j, "F" if variant != "O" else "O"), ("leaf",)
-        mid = len(pairs) // 2
-        dl, sl = pairs_ext(pairs[:mid])
-        dr, sr = pairs_ext(pairs[mid:])
-        return compose("or", dl, dr), ("node", sl, sr)
-
-    ext, shape = pairs_ext(pairs)
-    d = glue(base, compose("or", php_side(), ext))
-
-    def contract(sh):
-        if sh == ("leaf",):
-            return leaf(target)
-        return glue(
-            compose("or", contract(sh[1]), contract(sh[2])), expand_generic(GCD, target)
-        )
-
-    d = glue(d, glue(compose("or", leaf(target), contract(shape)), expand_generic(GCD, target)))
+    php_side = glue(leaf(php), weaken_left(php, target.a), leaf(target))
+    ext = disj_compose([phi_st(n, i, j, variant) for i, j in pairs])
+    d = glue(base, compose("or", php_side, ext))
+    contracted = compose("or", leaf(target), contract_copies(target, len(pairs)))
+    d = glue(d, glue(contracted, expand_generic(GCD, target)))
     d = glue(d, leaf(target))
     return ensure_checked(d, KS_PLUS)
 
 
 def _add_onto(n, base, system):
-    fphp = php_formula(n, "F")
-    o_part = php_formula(n, "OF").a
-    mid = disj(bot, fphp)
-    d = glue(
-        base,
-        leaf(mid),
-        in_context(mid, (0,), expand_generic(GWD, o_part)),
-        leaf(php_formula(n, "OF")),
-    )
+    target = php_formula(n, "OF")
+    d = glue(base, weaken_left(php_formula(n, "F"), target.a), leaf(target))
     return ensure_checked(d, system)
 
 

@@ -32,7 +32,9 @@ from deepflow.derivation import (
     check,
     compose,
     conclusion,
+    contract_copies,
     dedupe_disjunction,
+    disj_compose,
     dparse,
     dprint,
     dual_system,
@@ -48,8 +50,10 @@ from deepflow.derivation import (
     rule_census,
     size,
     step,
+    step_at,
     step_count,
     substitute_atom,
+    weaken_left,
 )
 from deepflow.families import demo_proof, random_derivation, random_ks_plus_proof
 from deepflow.formula import (
@@ -60,6 +64,7 @@ from deepflow.formula import (
     bot,
     conj,
     disj,
+    disj_all,
     dual,
     eq_mod,
     evaluate,
@@ -242,6 +247,34 @@ def test_in_context_and_substitute_atom_on_deep_formulas():
     assert g == a
     with pytest.raises(derivation.GlueError, match="path leaves the formula"):
         in_context(deep, (0,) * 25001, leaf(a))
+
+
+def test_step_at_rejects_a_path_that_leaves_the_formula():
+    with pytest.raises(derivation.GlueError, match="path leaves the formula"):
+        step_at(a, (0, 0), S, a)
+    with pytest.raises(derivation.GlueError, match="path leaves the formula"):
+        step_at(top, (1,), AWU, top)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 5, 8])
+def test_compiler_gadgets_endpoints(copies):
+    f = conj(a, disj(b, neg(b)))
+    parts = [step(AWU, leaf(lit(f"x{i}")), leaf(top)) for i in range(copies)]
+    d = disj_compose(parts)
+    assert endpoints(d) == (disj_all([premiss(p) for p in parts]), disj_all([top] * copies))
+    d = contract_copies(f, copies)
+    assert endpoints(d) == (disj_all([f] * copies), f)
+    assert check(d, KS).ok
+    d = weaken_left(f, disj(b, c))
+    assert endpoints(d) == (disj(bot, f), disj(disj(b, c), f))
+    assert check(d, KS).ok
+
+
+def test_compiler_gadgets_reject_empty_input():
+    with pytest.raises(ValueError):
+        disj_compose([])
+    with pytest.raises(ValueError):
+        contract_copies(a, 0)
 
 
 def test_step_count_separate_from_size():

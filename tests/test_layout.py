@@ -22,6 +22,20 @@ def test_no_private_names_imported_across_modules():
     assert not found, found
 
 
+def test_no_imports_inside_functions():
+    """Every module imports at its top, so its dependencies show there."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{inner.lineno} imports inside {node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, found
+
+
 def test_node_fields_are_set_only_at_construction():
     """The caches on formula and derivation nodes are sound only while no
     node changes: no code stores to .a, .b, .rule or .kind outside
