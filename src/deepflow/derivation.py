@@ -30,6 +30,7 @@ from .formula import (
     fprint,
     is_literal,
     mirror_dual,
+    mirror_dualizer,
     n_occurrences,
     neg,
     read_formula,
@@ -455,14 +456,48 @@ def _strip(d: Derivation, side: str) -> Derivation:
     return done[id(d)]
 
 
+def _join(up: Derivation, lo: Derivation) -> Derivation:
+    """up over lo with no eq step, when conclusion(up) is premiss(lo).
+
+    The facing sides merge by the interchange law, (A;C)&B = (A&B);(C&B):
+    a leaf on either face gives way to the other side, two facing
+    compositions join child by child, and a step on a face keeps its rule
+    and joins its inner child (up's lower, else lo's upper) to the other
+    side.  Every rule instance keeps its formulas.
+    """
+    done = []  # joined derivations, in the order they are finished
+    stack = [(up, lo)]  # pairs to join, and (tag, node) to rebuild node on joins
+    while stack:
+        u, l = stack.pop()
+        if u == "comp":  # l is up's composition, and both child pairs are joined
+            b = done.pop()
+            done.append(compose(l.rule, done.pop(), b))
+        elif u == "up":  # l is a step of up, and its lower child is joined
+            done.append(step(l.rule, l.a, done.pop()))
+        elif u == "lo":  # l is a step of lo, and its upper child is joined
+            done.append(step(l.rule, done.pop(), l.b))
+        elif l.kind == LEAF:
+            done.append(u)
+        elif u.kind == LEAF:
+            done.append(l)
+        elif u.kind == COMP and l.kind == COMP:
+            stack += (("comp", u), (u.b, l.b), (u.a, l.a))
+        elif u.kind == STEP:
+            stack += (("up", u), (u.b, l))
+        else:
+            stack += (("lo", l), (u, l.a))
+    return done[0]
+
+
 def glue(*parts) -> Derivation:
-    """Vertically compose derivations, inserting eq steps at the joints.
+    """Vertically compose derivations, joining them at each joint.
 
     Leaf arguments act as eq re-anchors: they restate the current conclusion
     in a different =-equal shape.  At each joint the two facing sides are
     stripped of re-anchors (see _strip), since eq is a congruence and one eq
-    step spans the joint; the first premiss and the last conclusion stay
-    exactly as given.
+    step spans the joint; when the stripped sides face the very same
+    formula, they join by the interchange law (see _join) and no eq step is
+    made.  The first premiss and the last conclusion stay exactly as given.
     """
     parts = [p for p in parts if p is not None]
     if not parts:
@@ -479,12 +514,7 @@ def glue(*parts) -> Derivation:
             raise GlueError(f"cannot glue: {fprint(cn)} vs {fprint(premiss(p))}")
         up = _strip(d, "bottom")
         lo = _strip(p, "top")
-        if lo.kind == LEAF and lo.a == conclusion(up):
-            d = up
-        elif up.kind == LEAF and up.a == premiss(lo):
-            d = lo
-        else:
-            d = step(EQ, up, lo)
+        d = _join(up, lo) if conclusion(up) is premiss(lo) else step(EQ, up, lo)
     return d
 
 
@@ -529,10 +559,11 @@ def dualize(d: Derivation) -> Derivation:
     makes every switch and medial instance map to a literal instance of the
     same schema; the result is a structural involution.
     """
+    flip = mirror_dualizer()
 
     def f(node, va, vb):
         if node.kind == LEAF:
-            return leaf(mirror_dual(node.a))
+            return leaf(flip(node.a))
         if node.kind == COMP:
             return compose(AND if node.rule == OR else OR, vb, va)
         return step(DUAL_RULE[node.rule], vb, va)

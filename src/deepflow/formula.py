@@ -123,34 +123,46 @@ def neg(f: Formula) -> Formula:
 
 def dual(f: Formula) -> Formula:
     """De Morgan dual, applied recursively; an involution."""
-    return _flip(f, False)
+    return _flip(f, False, {})
 
 
 def mirror_dual(f: Formula) -> Formula:
     """De Morgan dual with children swapped; used when flipping derivations."""
-    return _flip(f, True)
+    return _flip(f, True, {})
+
+
+def mirror_dualizer():
+    """A mirror_dual that flips each distinct subformula once over all its
+    calls, for flipping the many formulas of one derivation."""
+    memo = {}
+    return lambda f: _flip(f, True, memo)
 
 
 _DUAL_KIND = {AND: OR, OR: AND}
 
 
-def _flip(f, swap):
+def _flip(f, swap, memo):
+    """The dual of f, or its mirror dual if swap; memo maps the formulas
+    flipped so far to their images, and each one is flipped once."""
     done = []  # the flipped subformulas, left to right
-    stack = [f]  # formulas to flip, and the connectives that join them
+    stack = [f]  # formulas to flip, and 1-tuples of those whose children are flipped
     while stack:
         g = stack.pop()
-        if type(g) is str:
+        if type(g) is tuple:
+            g = g[0]
             b = done.pop()
             a = done.pop()
-            done.append(Formula(g, b, a) if swap else Formula(g, a, b))
+            r = memo[g] = Formula(_DUAL_KIND[g.kind], *((b, a) if swap else (a, b)))
+        elif g in memo:
+            r = memo[g]
         elif g.kind == LIT:
-            done.append(Formula(LIT, g.a, not g.b))
-        elif g.kind == TOP:
-            done.append(bot)
-        elif g.kind == BOT:
-            done.append(top)
+            r = memo[g] = Formula(LIT, g.a, not g.b)
+        elif g.kind in (TOP, BOT):
+            r = bot if g is top else top
         else:
-            stack += (_DUAL_KIND[g.kind], g.b, g.a)
+            stack += ((g,), g.b, g.a)
+            continue
+        done.append(r)
     return done[0]
 
 
@@ -301,7 +313,7 @@ def canonicalize(f: Formula) -> Formula:
 
 def eq_mod(f: Formula, g: Formula) -> bool:
     """Equality modulo commutativity, associativity and the unit laws."""
-    return canonicalize(f) == canonicalize(g)
+    return f is g or canonicalize(f) == canonicalize(g)
 
 
 def canonical_occurrence_map(f: Formula):

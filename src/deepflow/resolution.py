@@ -345,6 +345,7 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
 
     d = expand_generic(GWU, gf)  # from the axiom conjunction to T
     line_formulas = []
+    lines_f = None  # the left-nested conjunction of line_formulas
     for idx, line in enumerate(pi.lines):
         cl = report.clauses[idx]
         clf = cl.formula()
@@ -370,10 +371,10 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
                 d = glue(d, in_context(work, path, expand_generic(GCU, src_f)))
                 work = conclusion(d)
             # a derived line follows its sources, so it is a right conjunct
-            pulled = _conj_lines(line_formulas + [premiss(inner)])
-            d = glue(d, in_context(pulled, (1,), inner))
+            d = glue(d, in_context(conj(lines_f, premiss(inner)), (1,), inner))
         line_formulas.append(clf)
-        d = glue(d, leaf(_conj_lines(line_formulas)))
+        lines_f = clf if lines_f is None else conj(lines_f, clf)
+        d = glue(d, leaf(lines_f))
     return d
 
 

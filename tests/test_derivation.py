@@ -187,7 +187,7 @@ def test_dualize_checks_in_dual_system():
 def test_size_examples():
     assert size(leaf(conj(a, neg(b)))) == 2
     assert size(step(AID, leaf(top), leaf(disj(a, ab)))) == 2
-    assert size(demo_proof()) == 32
+    assert size(demo_proof()) == 27
 
 
 def _reference_endpoints_and_size(d):

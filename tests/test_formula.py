@@ -26,6 +26,7 @@ from deepflow.formula import (
     is_tautology,
     lit,
     mirror_dual,
+    mirror_dualizer,
     n_occurrences,
     neg,
     replace_occurrences,
@@ -126,6 +127,34 @@ def test_dual_deep():
     assert fprint(mirror_dual(f)) == "(~b|" * n + "~a" + ")" * n
     assert dual(dual(f)) is f
     assert mirror_dual(mirror_dual(f)) is f
+
+
+def test_dual_flips_each_shared_subformula_once():
+    # 2**200 occurrences over 201 distinct subformulas
+    f = lit("a")
+    for _ in range(200):
+        f = conj(f, f)
+    d = dual(f)
+    assert d.kind == OR and d.a is d.b
+    assert dual(d) is f
+    assert mirror_dual(f) is d and mirror_dual(d) is f
+    flip = mirror_dualizer()
+    assert flip(f) is d and flip(f.a) is d.a and flip(d) is f
+
+
+@given(st.lists(formulas, min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_mirror_dualizer_matches_mirror_dual(fs):
+    flip = mirror_dualizer()
+    for f in fs + fs:
+        assert flip(f) is mirror_dual(f)
+
+
+def test_eq_mod_of_a_formula_and_itself_canonicalizes_nothing():
+    f = conj(disj(lit("eq_self_p"), bot), lit("eq_self_q"))
+    assert eq_mod(f, f) and f._canon is None
+    assert eq_mod(f, conj(lit("eq_self_p"), lit("eq_self_q")))
+    assert f._canon is not None
 
 
 @given(formulas)

@@ -1,15 +1,22 @@
-"""glue strips the re-anchor leaves that face each other at a joint: the
-endpoints, check verdicts and flows stay those of the glue that keeps them,
-kept in tests/reference_glue.py, and the proofs get no larger."""
+"""glue strips the re-anchor leaves that face each other at a joint, and
+joins identical faces by the interchange law: the endpoints, check verdicts
+and flows stay those of the glue that keeps them, kept in
+tests/reference_glue.py, and the proofs get no larger.  A joined proof
+orders its leaves and steps differently, so its extracted flow is the same
+graph up to its edge and node ids."""
 
+import json
 import random
+import sys
 from contextlib import ExitStack
 from unittest import mock
 
 import deepflow
 from deepflow import derivation, families, lift, resolution, simulations
 from deepflow.derivation import (
+    ACU,
     AID,
+    AWU,
     COMP,
     EQ,
     KS,
@@ -26,13 +33,15 @@ from deepflow.derivation import (
     iter_nodes,
     leaf,
     premiss,
+    rule_census,
     size,
     step,
 )
 from deepflow.families import _random_step, random_formula, random_ks_plus_proof, res_chain
-from deepflow.flow import extract, to_json
+from deepflow.flow import canonical_key, extract
 from deepflow.formula import AND, OR, Formula, bot, conj, disj, lit, neg, top
 from deepflow.lift import normalize_proof
+from deepflow.metrics import metrics_record
 from deepflow.resolution import simulate
 from deepflow.simulations import php_ks, php_ksplus
 from hypothesis import given, settings, strategies as st
@@ -127,7 +136,10 @@ def assert_same_as_reference(make, seed):
     assert endpoints(new) == endpoints(ref)
     for system in (KS, KS_PLUS, SKS):
         assert check(new, system).ok == check(ref, system).ok
-    assert to_json(extract(new).flow) == to_json(extract(ref).flow)
+    new_flow, ref_flow = extract(new).flow, extract(ref).flow
+    assert new_flow.n_edges == ref_flow.n_edges
+    assert canonical_key(new_flow) == canonical_key(ref_flow)
+    assert json.dumps(metrics_record(new_flow), sort_keys=True) == json.dumps(metrics_record(ref_flow), sort_keys=True)
     assert size(new) <= size(ref)
     return new
 
@@ -184,14 +196,43 @@ def assert_nothing_left_to_strip(d):
             assert (_strip(node, side) is not node) == holds_re_anchor(node, side)
 
 
-def test_emitted_proofs_have_nothing_left_to_strip():
+def emitted_proofs():
     proofs = [php_ks(2, v) for v in ("F", "O", "OF")]
     proofs += [php_ksplus(2, v) for v in ("F", "O", "OF")]
     proofs.append(simulate(*res_chain(24)))
     rng = random.Random(5)
     proofs += [normalize_proof(random_ks_plus_proof(rng, VARS, 10)) for _ in range(10)]
-    for d in proofs:
+    return proofs
+
+
+def test_emitted_proofs_have_nothing_left_to_strip():
+    for d in emitted_proofs():
         assert_nothing_left_to_strip(d)
+
+
+def test_emitted_proofs_make_no_eq_step_between_identical_faces():
+    for d in emitted_proofs():
+        assert not [
+            node
+            for node in iter_nodes(d)
+            if node.kind == STEP and node.rule == EQ and conclusion(node.a) is premiss(node.b)
+        ]
+
+
+def test_glue_joins_derivations_in_a_context_deeper_than_the_recursion_limit():
+    a, b = lit("a"), lit("b")
+    depth = 30000
+    assert depth > sys.getrecursionlimit()
+    context = a
+    for _ in range(depth):
+        context = conj(context, b)
+    path = (0,) * depth
+    dup = in_context(context, path, step(ACU, leaf(a), leaf(conj(a, a))))
+    weak = in_context(conclusion(dup), path, compose(AND, step(AWU, leaf(a), leaf(top)), leaf(a)))
+    d = derivation.glue(dup, weak)
+    assert endpoints(d) == (context, conclusion(weak))
+    assert check(d, KS_PLUS).ok and not check(d, KS).ok
+    assert rule_census(d) == {ACU: 1, AWU: 1}
 
 
 def test_strip_keeps_rule_instances_and_shares_what_it_keeps():

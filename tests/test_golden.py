@@ -22,7 +22,7 @@ def digest(text):
 
 @pytest.mark.parametrize(
     "variant, expected",
-    [("F", "85a3098ef18ed120"), ("O", "d3ce0c5414a6a3f0"), ("OF", "3f44a92ce60cd619")],
+    [("F", "a4f9197e327f51c5"), ("O", "914dece223813797"), ("OF", "823dfde3377d2e02")],
     ids=["F", "O", "OF"],
 )
 def test_php_proof_bytes(variant, expected):
@@ -30,7 +30,7 @@ def test_php_proof_bytes(variant, expected):
 
 
 def test_resolution_chain_proof_bytes():
-    assert digest(dprint(simulate(*res_chain(24)))) == "d6c80db5578fa87e"
+    assert digest(dprint(simulate(*res_chain(24)))) == "6be8db24a95484e9"
 
 
 def _resolution_f_refutation():
@@ -44,11 +44,11 @@ def _resolution_f_refutation():
 @pytest.mark.parametrize(
     "build, expected",
     [
-        (lambda: truthtable_ks(fparse("((~a|~b)|(a&b))")), "633963db1ba3d4fe"),
-        (lambda: truthtable_ks(fparse("(((a&b)&c)|((~a|~b)|~c))")), "44789bc56880f5af"),
-        (lambda: switch_cut(sks_php_proof(2)), "960c2d406145f5cf"),
-        (lambda: simulate(*_resolution_f_refutation()), "e768e55b74343001"),
-        (lambda: simulate(*php_refutation(multiset=True)), "34986e5eef6eda19"),
+        (lambda: truthtable_ks(fparse("((~a|~b)|(a&b))")), "b41478909d8c7180"),
+        (lambda: truthtable_ks(fparse("(((a&b)&c)|((~a|~b)|~c))")), "08cb0c39f8b1255d"),
+        (lambda: switch_cut(sks_php_proof(2)), "356b6c10d3004f80"),
+        (lambda: simulate(*_resolution_f_refutation()), "a602aaca74c038b3"),
+        (lambda: simulate(*php_refutation(multiset=True)), "988356fd8f5f2c5f"),
     ],
     ids=["truthtable-2", "truthtable-3", "switch-cut-php-2", "resolution-f", "php-refutation-multiset"],
 )

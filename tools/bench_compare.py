@@ -19,8 +19,18 @@ sits on and whether it has uncommitted changes, the CPU count and the Python
 version.  Per workload it also holds, for each metric that BENCHMARK.json
 gives a direction (``better``), the number of pairs the working tree wins, a
 tie counting as no win (``pairs_won_by_change``), and the interquartile range
-of the base runs (``base_iqr``, from ``statistics.quantiles``).  The exit
-status is 1 if any run was incorrect or failed operations.
+of the base runs (``base_iqr``, from ``statistics.quantiles``).  Each
+end-to-end metric also gets a ``verdict``, by the first rule that holds:
+
+- ``improved``: the change wins at least 9 in 10 pairs, and its median is
+  better than the base median by more than ``base_iqr``;
+- ``unresolved``: ``base_iqr`` is wider than the metric's ``bound`` times the
+  base median, so a move within the bound cannot be told from noise;
+- ``worse``: the change median is worse than the base median by more than
+  ``bound`` times the base median;
+- ``within bound``: anything else.
+
+The exit status is 1 if any run was incorrect or failed operations.
 """
 
 from __future__ import annotations
@@ -106,6 +116,31 @@ def pairs_won(rows, better):
     return won
 
 
+def verdicts(rows, end_to_end):
+    """Per end-to-end metric, given as {name: (better, bound)}, the verdict
+    on the change (see the module docstring)."""
+    base = [row["base"] for row in rows]
+    base_median, change_median = medians(base), medians([row["change"] for row in rows])
+    spread = iqrs(base)
+    won = pairs_won(rows, {m: better for m, (better, _) in end_to_end.items()})
+    out = {}
+    for m, (better, bound) in end_to_end.items():
+        if m not in base_median or m not in change_median:
+            continue
+        b, iqr = base_median[m], spread.get(m, 0)
+        gain = b - change_median[m] if better == "lower" else change_median[m] - b
+        pairs = sum(m in row["base"] and m in row["change"] for row in rows)
+        if won.get(m, 0) * 10 >= 9 * pairs and gain > iqr:
+            out[m] = "improved"
+        elif iqr > bound * b:
+            out[m] = "unresolved"
+        elif -gain > bound * b:
+            out[m] = "worse"
+        else:
+            out[m] = "within bound"
+    return out
+
+
 def main(argv=None):
     args = parse_args(argv)
     root = git(os.getcwd(), "rev-parse", "--show-toplevel")
@@ -116,6 +151,7 @@ def main(argv=None):
         bench = json.load(fh)
     command, seconds = bench["command"], bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench.get("per_layer", [])}
+    end_to_end = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     report = {
         "command": " ".join(command) + f" --workload W --seed S --seconds {seconds:g} --trace 0",
         "base": {"commit": base},
@@ -147,6 +183,7 @@ def main(argv=None):
                 "median": {side: medians([row[side] for row in rows]) for side in ("base", "change")},
                 "pairs_won_by_change": pairs_won(rows, better),
                 "base_iqr": iqrs([row["base"] for row in rows]),
+                "verdict": verdicts(rows, end_to_end),
             }
     out = os.path.join(root, f"BENCH_{args.name}.json")
     with open(out, "w") as fh:
