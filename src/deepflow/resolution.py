@@ -1,12 +1,11 @@
 """Resolution refutations and their compilation into cut-free proofs.
 
 Clauses are (multi)sets of terms; a term is a conjunction of literals and a
-plain literal is a one-literal term.  The translation builds a derivation
-from the conjunction of the axioms to the conjunction of all derived lines,
-duplicating a line with generic cocontraction whenever a step consumes it;
-flipping that derivation upside down yields a cocontraction/coweakening
-proof of the dual disjunction, which flow normalization turns into a pure KS
-proof.
+plain literal is a one-literal term.  The translation derives the last line
+from the conjunction of the axioms: a line used once inside the line that
+uses it, any other among the live lines, cocontracted into one copy per use.
+Flipping that derivation upside down yields a KS+ proof of the dual
+disjunction, which flow normalization turns into a pure KS proof.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .derivation import (
     KS_PLUS,
     Derivation,
     compose,
-    conclusion,
     dedupe_disjunction,
     dualize,
     ensure_checked,
@@ -225,11 +223,7 @@ def check_res(pi: ResDerivation, axioms) -> ResReport:
                     err(i, "duplicate-in-set", raw.text())
                 cl = make_clause(raw.elements, mode)
         elif isinstance(line, (Wk, Res, AndStep)):
-            srcs = (
-                (line.source,)
-                if isinstance(line, Wk)
-                else (line.left, line.right)
-            )
+            srcs = _sources(line)
             bad = False
             for s in srcs:
                 if not (0 <= s < i):
@@ -315,67 +309,84 @@ def check_res(pi: ResDerivation, axioms) -> ResReport:
 # -- the translation into the dual of KS+ ------------------------------------------------
 
 
-def _conj_lines(formulas):
-    if not formulas:
-        return top
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = Formula("and", out, f)
-    return out
+def _sources(line):
+    """The lines whose clauses a line is derived from."""
+    if isinstance(line, Axiom):
+        return ()
+    return (line.source,) if isinstance(line, Wk) else (line.left, line.right)
 
 
-def _line_path(n_lines, index):
-    """Path of line `index` inside the left-nested conjunction of n_lines."""
-    return (0,) * (n_lines - 1 - index) + ((1,) if index else ())
+def _copies(f: Formula, copies: int) -> Derivation:
+    """From f to a conjunction of `copies` copies of it (to T for none)."""
+    d = leaf(f) if copies else expand_generic(GWU, f)
+    for _ in range(copies - 1):
+        d = glue(expand_generic(GCU, f), compose("and", leaf(f), d))
+    return d
 
 
 def translate_R(pi: ResDerivation, axioms) -> Derivation:
     """The inductive translation of a Resolution derivation.
 
-    Produces a derivation from the conjunction of the axioms to the
-    conjunction of all lines; every rule of the image is the dual of a KS+
-    rule.
+    Produces a derivation from the conjunction of the axioms to the last
+    line (T if there is none), with rules dual to KS+ rules.  A line used
+    once is derived inside the line that uses it; any other line or axiom
+    is copied once per use among the live lines, and the live lines but the
+    last are coweakened at the end.
     """
     report = check_res(pi, axioms)
     if not report.ok:
         raise ResCheckFailure(report)
-    mode = pi.mode
-    axiom_clauses = [make_clause(c.elements, mode) for c in axioms]
-    gf = _conj_lines([c.formula() for c in axiom_clauses])
-
-    d = expand_generic(GWU, gf)  # from the axiom conjunction to T
-    line_formulas = []
-    lines_f = None  # the left-nested conjunction of line_formulas
-    for idx, line in enumerate(pi.lines):
-        cl = report.clauses[idx]
-        clf = cl.formula()
+    clauses = report.clauses
+    forms = [c.formula() for c in clauses]
+    uses = [0] * len(pi.lines)
+    for line in pi.lines:
+        for s in _sources(line):
+            uses[s] += 1
+    copies = [max(u, 1) for u in uses]  # an unused line is kept to the end
+    taken = [0] * len(axioms)
+    pending = {}  # line -> derivations of its unused copies; conclusion(d) conjoins their premisses
+    for i, line in enumerate(pi.lines):
         if isinstance(line, Axiom):
-            src_f = axiom_clauses[line.index].formula()
-            path = _line_path(len(axiom_clauses), line.index)
-            dup = in_context(gf, path, expand_generic(GCU, src_f))
-            d = glue(dup, compose("and", d, leaf(src_f)))
+            taken[line.index] += copies[i]
+            pending[i] = [leaf(forms[i]) for _ in range(copies[i])]
+    axiom_fs = [make_clause(c.elements, pi.mode).formula() for c in axioms]
+    d = leaf(conj_all(axiom_fs))
+    if any(k != 1 for k in taken):  # copy the axioms out of the premiss
+        block = _copies(axiom_fs[0], taken[0])
+        for f, k in zip(axiom_fs[1:], taken[1:]):
+            block = compose("and", block, _copies(f, k))
+        d = glue(d, block)
+
+    for i, line in enumerate(pi.lines):
+        if isinstance(line, Axiom):
+            continue
+        cl = clauses[i]
+        if isinstance(line, Wk):
+            inner = _wk_inner(clauses[line.source], line.added, cl, pi.mode)
+        elif isinstance(line, Res):
+            inner = _res_inner(clauses[line.left], clauses[line.right], line.pivot, cl, pi.mode)
         else:
-            if isinstance(line, Wk):
-                inner = _wk_inner(report.clauses[line.source], line.added, cl, mode)
-            elif isinstance(line, Res):
-                inner = _res_inner(
-                    report.clauses[line.left], report.clauses[line.right], line.pivot, cl, mode
-                )
-            else:
-                inner = _and_inner(report.clauses[line.left], report.clauses[line.right], cl, mode)
-            srcs = (line.source,) if isinstance(line, Wk) else (line.left, line.right)
-            work = conclusion(d)
-            for s_idx in srcs:
-                path = _line_path(len(line_formulas), s_idx)
-                src_f = line_formulas[s_idx]
-                d = glue(d, in_context(work, path, expand_generic(GCU, src_f)))
-                work = conclusion(d)
-            # a derived line follows its sources, so it is a right conjunct
-            d = glue(d, in_context(conj(lines_f, premiss(inner)), (1,), inner))
-        line_formulas.append(clf)
-        lines_f = clf if lines_f is None else conj(lines_f, clf)
-        d = glue(d, leaf(lines_f))
-    return d
+            inner = _and_inner(clauses[line.left], clauses[line.right], cl, pi.mode)
+        parts = [pending[s].pop() for s in _sources(line)]
+        upper = parts[0] if len(parts) == 1 else compose("and", *parts)
+        if uses[i] == 1:
+            pending[i] = [glue(upper, inner)]
+            continue
+        pending = {s: ds for s, ds in pending.items() if ds}  # drop the lines used up
+        rest = [premiss(p) for ds in pending.values() for p in ds]
+        block = glue(upper, inner, _copies(forms[i], copies[i]))
+        if rest:
+            block = compose("and", leaf(conj_all(rest)), block)
+        d = glue(d, block)
+        pending[i] = [leaf(forms[i]) for _ in range(copies[i])]
+
+    if not pi.lines:
+        return glue(d, leaf(top))
+    end = pending.pop(len(pi.lines) - 1)[0]
+    rest = [premiss(p) for ds in pending.values() for p in ds]
+    if rest:
+        d = glue(d, compose("and", expand_generic(GWU, conj_all(rest)), end))
+    return glue(d, end)
 
 
 def _wk_inner(src_cl: Clause, added, cl: Clause, mode: str) -> Derivation:
@@ -463,18 +474,7 @@ def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
     if pi.mode == "multiset" and rule_census(r_der).get(ACD, 0) != 0:
         raise AssertionError("multiset translation produced contraction steps")
 
-    # finish at F: coweaken everything except the final empty line
-    cn = conclusion(r_der)
-    if cn != bot:
-        rest = cn.a
-        d = glue(
-            r_der,
-            in_context(conj(rest, bot), (0,), expand_generic(GWU, rest)),
-            leaf(bot),
-        )
-    else:
-        d = r_der
-    ks_plus_proof = dualize(d)
+    ks_plus_proof = dualize(r_der)
     target = disj_all([dual(make_clause(c.elements, pi.mode).formula()) for c in axioms])
     ks_plus_proof = glue(ks_plus_proof, leaf(target))
     ensure_checked(ks_plus_proof, KS_PLUS)

@@ -90,3 +90,21 @@ def ring_layers(*layers):
     for n in above:
         fb.edge((n, 0), None)
     return fb.build()
+
+
+# A tree-like refutation whose KS+ image had a contraction loop while every
+# use of a line took a copy of it: the axiom clause ~x1 x3 was used on two
+# branches and both copies of ~x1 merged later.
+LOOPING_REFUTATION = """p res set tree
+a 0: x1 x2
+a 1: x1 ~x2
+r 2 = res 0 1 on x2
+a 3: ~x1 x3
+a 4: x2 ~x3
+r 5 = res 3 4 on x3
+a 6: ~x1 x3
+a 7: ~x2 ~x3
+r 8 = res 6 7 on x3
+r 9 = res 5 8 on x2
+r 10 = res 2 9 on x1
+"""

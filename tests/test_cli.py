@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corpus import LOOPING_REFUTATION
 from deepflow.cli import main
 from deepflow.derivation import KS, check, dparse, dprint, is_proof
 from deepflow.families import demo_proof, max_ai_paths_flow
@@ -199,29 +200,23 @@ def test_translate_rejects_malformed_refutations(tmp_path, capsys, text, line):
     assert not out.exists()
 
 
-# a tree-like refutation whose KS+ image has a contraction loop: the axiom
-# clause x1 x3 is used on two branches and both copies of ~x1 merge later
-LOOPING_REFUTATION = """p res set tree
-a 0: x1 x2
-a 1: x1 ~x2
-r 2 = res 0 1 on x2
-a 3: ~x1 x3
-a 4: x2 ~x3
-r 5 = res 3 4 on x3
-a 6: ~x1 x3
-a 7: ~x2 ~x3
-r 8 = res 6 7 on x3
-r 9 = res 5 8 on x2
-r 10 = res 2 9 on x1
-"""
-
-
-def test_translate_refuses_a_looping_image(tmp_path, capsys):
+def test_translate_compiles_a_tree_like_refutation_without_loops(tmp_path, capsys):
+    # each axiom of a .res file has its own index, so a tree-like image takes
+    # no copies, and its flow has no contraction loop
     res = tmp_path / "loop.res"
     res.write_text(LOOPING_REFUTATION)
     out = tmp_path / "loop.sksd"
+    assert main(["translate", str(res), "--out", str(out)]) == 0
+    d = dparse(out.read_text())
+    assert check(d, KS).ok and is_proof(d)
+
+
+def test_translate_refuses_a_set_mode_dag(tmp_path, capsys):
+    res = tmp_path / "dag.res"
+    res.write_text("p res set\na 0: a\na 1: ~a\nr 2 = res 0 1 on a\n")
+    out = tmp_path / "dag.sksd"
     assert main(["translate", str(res), "--out", str(out)]) == 1
-    assert "FAIL translate: tree-like image has contraction loops: [(" in capsys.readouterr().out
+    assert "FAIL translate: set-mode refutations are only supported tree-like" in capsys.readouterr().out
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ def test_php_proof_bytes(variant, expected):
 
 
 def test_resolution_chain_proof_bytes():
-    assert digest(dprint(simulate(*res_chain(24)))) == "6be8db24a95484e9"
+    assert digest(dprint(simulate(*res_chain(24)))) == "1dffc9b856db3542"
 
 
 def _resolution_f_refutation():
@@ -47,8 +47,8 @@ def _resolution_f_refutation():
         (lambda: truthtable_ks(fparse("((~a|~b)|(a&b))")), "b41478909d8c7180"),
         (lambda: truthtable_ks(fparse("(((a&b)&c)|((~a|~b)|~c))")), "08cb0c39f8b1255d"),
         (lambda: switch_cut(sks_php_proof(2)), "356b6c10d3004f80"),
-        (lambda: simulate(*_resolution_f_refutation()), "a602aaca74c038b3"),
-        (lambda: simulate(*php_refutation(multiset=True)), "988356fd8f5f2c5f"),
+        (lambda: simulate(*_resolution_f_refutation()), "f849206f795c4d42"),
+        (lambda: simulate(*php_refutation(multiset=True)), "c4eda9bc993a8a00"),
     ],
     ids=["truthtable-2", "truthtable-3", "switch-cut-php-2", "resolution-f", "php-refutation-multiset"],
 )

@@ -1,10 +1,14 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import LOOPING_REFUTATION
 from deepflow.derivation import (
     ACD,
     ACU,
     AIU,
+    AWU,
     KS,
     S,
     SKS,
@@ -15,11 +19,12 @@ from deepflow.derivation import (
     is_proof,
     premiss,
     rule_census,
+    size,
 )
 from deepflow.families import php_refutation, res_chain
 from deepflow.flow import extract
-from deepflow.formula import conj_all, disj_all, dual, eq_mod, fparse
-from deepflow.metrics import contraction_loops
+from deepflow.formula import bot, conj_all, disj_all, dual, eq_mod, fparse
+from deepflow.metrics import contraction_loops, metrics_record
 from deepflow.resolution import (
     AndStep,
     Axiom,
@@ -118,8 +123,8 @@ def test_translate_endpoints_and_census():
     r = translate_R(pi, axioms)
     assert check(r, SKS).ok
     assert eq_mod(premiss(r), conj_all([c.formula() for c in axioms]))
-    report = check_res(pi, axioms)
-    assert eq_mod(conclusion(r), conj_all([c.formula() for c in report.clauses]))
+    # the last line: keeping every line to the end is what made the image quadratic
+    assert conclusion(r) == check_res(pi, axioms).clauses[-1].formula()
     census = rule_census(r)
     assert census.get(AIU) == 1 and census.get(S) == 2
     assert census.get(ACD, 0) == 0  # multiset image is contraction-free
@@ -181,6 +186,83 @@ def test_simulate_resolution_f():
     assert check_res(pi, axioms).ok
     proof = simulate(pi, axioms)
     assert check(proof, KS).ok and is_proof(proof)
+
+
+# a line used by two resolutions (line 4), and a line never used (line 5)
+SHARED_LINE = """p res multiset
+a 0: a b
+a 1: ~b
+a 2: ~a c
+a 3: ~a ~c
+r 4 = res 0 1 on b
+r 5 = res 4 2 on a
+r 6 = res 4 3 on a
+r 7 = res 5 6 on c
+"""
+UNUSED_LINE = """p res set tree
+a 0: x
+a 1: ~x y
+a 2: ~y
+a 3: z w
+a 4: ~z
+r 5 = res 3 4 on z
+r 6 = res 0 1 on x
+r 7 = res 6 2 on y
+"""
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        (
+            SHARED_LINE,
+            {"breadth": 3, "contraction_loops": [], "edges": 9, "length": 1, "open_ai_paths": "4",
+             "nodes": {"acd": 1, "acu": 0, "aid": 4, "aiu": 0, "awd": 0, "awu": 0}, "width": 2},
+        ),
+        (
+            UNUSED_LINE,
+            {"breadth": 4, "contraction_loops": [], "edges": 7, "length": 0, "open_ai_paths": "3",
+             "nodes": {"acd": 0, "acu": 0, "aid": 3, "aiu": 0, "awd": 1, "awu": 0}, "width": 1},
+        ),
+    ],
+    ids=["shared-line", "unused-line"],
+)
+def test_simulate_shared_and_unused_lines(text, record):
+    pi, axioms = parse_res(text)
+    proof = simulate(pi, axioms)
+    assert check(proof, KS).ok and is_proof(proof)
+    want = disj_all([dual(make_clause(c.elements, pi.mode).formula()) for c in axioms])
+    assert eq_mod(conclusion(proof), want)
+    # the metrics of the flow that copying every line at each use gave
+    assert metrics_record(extract(proof).flow) == record
+
+
+def test_simulation_grows_linearly_along_a_chain():
+    assert size(simulate(*res_chain(96))) <= 2.1 * size(simulate(*res_chain(48)))
+
+
+def test_tree_like_image_copies_and_discards_nothing():
+    census = rule_census(translate_R(*res_chain(24)))
+    assert census.get(AWU, 0) == 0 and census.get(ACU, 0) == 0
+
+
+def test_translate_long_chain_under_the_default_recursion_limit():
+    pi, axioms = res_chain(2000)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        r = translate_R(pi, axioms)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert conclusion(r) == bot
+
+
+def test_simulate_refuses_a_looping_tree_like_image():
+    pi, axioms = parse_res(LOOPING_REFUTATION)
+    pi.lines[6] = Axiom(2)  # axiom 2 is taken twice, axiom 4 not at all
+    axioms[4] = clause_of("x9")
+    with pytest.raises(UnsupportedModeError, match="contraction loops"):
+        simulate(pi, axioms)
 
 
 def test_simulate_rejects_modes_and_failures():
