@@ -15,6 +15,7 @@ tree occurrences, not distinct objects.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .formula import (
@@ -616,41 +617,9 @@ def _gid(a: Formula) -> Derivation:
     b, c = a.a, a.b
     bd, cd = dual(b), dual(c)
     both = compose(AND, _gid(b), _gid(c))
-    if a.kind == AND:
-        # ([b|~b] & [c|~c]) -> [([c|~c] & b) | ~b] -> [[(b&c) | ~c] | ~b]
-        s1 = step(
-            S,
-            leaf(conj(disj(c, cd), disj(b, bd))),
-            leaf(disj(conj(disj(c, cd), b), bd)),
-        )
-        inner = glue(
-            leaf(conj(disj(c, cd), b)),
-            step(S, leaf(conj(b, disj(c, cd))), leaf(disj(conj(b, c), cd))),
-        )
-        return glue(
-            leaf(top),
-            both,
-            s1,
-            in_context(disj(conj(disj(c, cd), b), bd), (0,), inner),
-            leaf(disj(a, disj(bd, cd))),
-        )
-    # a = b | c: ([b|~b] & [c|~c]) -> [([b|~b] & ~c) | c] -> [[(~c&~b) | b] | c]
-    s1 = step(
-        S,
-        leaf(conj(disj(b, bd), disj(cd, c))),
-        leaf(disj(conj(disj(b, bd), cd), c)),
-    )
-    inner = glue(
-        leaf(conj(disj(b, bd), cd)),
-        step(S, leaf(conj(cd, disj(bd, b))), leaf(disj(conj(cd, bd), b))),
-    )
-    return glue(
-        leaf(top),
-        both,
-        s1,
-        in_context(disj(conj(disj(b, bd), cd), c), (0,), inner),
-        leaf(disj(a, conj(bd, cd))),
-    )
+    # ([~c|c] & [~b|b]) -> [[(b&c)|~c] | ~b], or ([b|~b] & [c|~c]) -> [[(~c&~b)|b] | c]
+    pairs = pair_block(cd, c, bd, b) if a.kind == AND else pair_block(b, bd, c, cd)
+    return glue(leaf(top), both, pairs, leaf(disj(a, dual(a))))
 
 
 def expand_generic(rule: str, a: Formula) -> Derivation:
@@ -695,20 +664,12 @@ def pair_block(left_f: Formula, s_f: Formula, right_f: Formula, t_f: Formula) ->
 
 def dedupe_disjunction(elements) -> Derivation:
     """Contract duplicated disjuncts: from the balanced disjunction of
-    `elements` to that of their first occurrences."""
+    `elements` to that of their first occurrences, by one eq step and the
+    contraction of each element's copies."""
     elements = list(elements)
-    start = disj_all(elements)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            if elements[i] == elements[j]:
-                rest = [x for k, x in enumerate(elements) if k not in (i, j)]
-                if rest:
-                    host = disj(disj(elements[i], elements[i]), disj_all(rest))
-                    block = glue(leaf(start), in_context(host, (0,), expand_generic(GCD, elements[i])))
-                else:
-                    block = glue(leaf(start), expand_generic(GCD, elements[i]))
-                return glue(block, dedupe_disjunction([elements[i]] + rest))
-    return leaf(start)
+    counts = Counter(elements)  # in first-occurrence order
+    block = disj_compose([contract_copies(e, k) for e, k in counts.items()])
+    return glue(leaf(disj_all(elements)), block)
 
 
 def disj_compose(parts) -> Derivation:
@@ -737,17 +698,18 @@ def weaken_left(f: Formula, g: Formula) -> Derivation:
     return in_context(disj(bot, f), (0,), expand_generic(GWD, g))
 
 
-def fan_literal(l: Formula, copies: int) -> Derivation:
-    """From a literal to a balanced conjunction of `copies` of it."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
+def cocontract_copies(f: Formula, copies: int) -> Derivation:
+    """From f to conj_all([f] * copies) by generic cocontractions, or to T
+    by a generic coweakening when copies is 0; the dual of contract_copies."""
+    if copies < 0:
+        raise ValueError("need a copy count of at least 0")
+    if copies == 0:
+        return expand_generic(GWU, f)
     if copies == 1:
-        return leaf(l)
-    left = copies // 2
-    return glue(
-        step(ACU, leaf(l), leaf(conj(l, l))),
-        compose(AND, fan_literal(l, left), fan_literal(l, copies - left)),
-    )
+        return leaf(f)
+    mid = copies // 2
+    halves = compose(AND, cocontract_copies(f, mid), cocontract_copies(f, copies - mid))
+    return glue(expand_generic(GCU, f), halves)
 
 
 # -- substitution ---------------------------------------------------------------

@@ -318,14 +318,6 @@ def random_formula(rng: random.Random, variables, max_depth=4, unit_p=0.1):
     return conj(a, b) if rng.random() < 0.5 else disj(a, b)
 
 
-def _literal_positions(f: Formula, path=()):
-    if f.kind == "lit":
-        yield path, f
-    elif f.kind in ("and", "or"):
-        yield from _literal_positions(f.a, path + (0,))
-        yield from _literal_positions(f.b, path + (1,))
-
-
 def _subformula_positions(f: Formula, path=()):
     yield path, f
     if f.kind in ("and", "or"):

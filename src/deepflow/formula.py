@@ -91,14 +91,14 @@ def disj(a: Formula, b: Formula) -> Formula:
     return Formula(OR, a, b)
 
 
-def conj_all(items, empty=top):
+def conj_all(items):
     """Balanced conjunction of a list; the empty conjunction is T."""
-    return _balanced(AND, list(items), empty)
+    return _balanced(AND, list(items), top)
 
 
-def disj_all(items, empty=bot):
+def disj_all(items):
     """Balanced disjunction of a list; the empty disjunction is F."""
-    return _balanced(OR, list(items), empty)
+    return _balanced(OR, list(items), bot)
 
 
 def _balanced(kind, items, empty):

@@ -20,23 +20,25 @@ from dataclasses import dataclass
 
 from .derivation import (
     ACD,
-    ACU,
     AID,
     AWD,
-    AWU,
     COMP,
     EQ,
+    GCD,
+    GWD,
+    GWU,
     KS,
     KS_PLUS,
     LEAF,
-    M,
     S,
     SKS,
     Derivation,
+    cocontract_copies,
     compose,
     conclusion,
     endpoints,
     ensure_checked,
+    expand_generic,
     glue,
     in_context,
     is_proof,
@@ -160,32 +162,24 @@ def _repair_id_wu(node: Derivation) -> Derivation:
 
 def _repair_wd_cu(node: Derivation) -> Derivation:
     # F over (a&a): two weakenings through (F&F)
-    a = premiss(node.b).a
-    block = compose("and", step(AWD, leaf(bot), leaf(a)), step(AWD, leaf(bot), leaf(a)))
-    return glue(node.a, block, node.b)
+    return glue(node.a, expand_generic(GWD, premiss(node.b)), node.b)
 
 
 def _repair_wd_wu(node: Derivation) -> Derivation:
     # F over T: the unit switch
-    gadget = step(S, leaf(conj(bot, disj(bot, top))), leaf(disj(conj(bot, bot), top)))
-    return glue(node.a, gadget, node.b)
+    return glue(node.a, expand_generic(GWD, top), node.b)
 
 
 def _repair_cd_wu(node: Derivation) -> Derivation:
     # [a|a] over T: coweaken both copies, then [T|T] = T
-    a = conclusion(node.a).a
-    block = compose("or", step(AWU, leaf(a), leaf(top)), step(AWU, leaf(a), leaf(top)))
-    return glue(node.a, block, node.b)
+    return glue(node.a, expand_generic(GWU, conclusion(node.a)), node.b)
 
 
 def _repair_cd_cu(node: Derivation) -> Derivation:
     # [a|a] over (a&a): cocontract both copies, medial, contract both sides
     a = conclusion(node.a).a
-    aa = conj(a, a)
-    b1 = compose("or", step(ACU, leaf(a), leaf(aa)), step(ACU, leaf(a), leaf(aa)))
-    b2 = step(M, leaf(disj(aa, aa)), leaf(conj(disj(a, a), disj(a, a))))
-    b3 = compose("and", step(ACD, leaf(disj(a, a)), leaf(a)), step(ACD, leaf(disj(a, a)), leaf(a)))
-    return glue(node.a, b1, b2, b3, node.b)
+    copies = compose("or", cocontract_copies(a, 2), cocontract_copies(a, 2))
+    return glue(node.a, copies, expand_generic(GCD, conj(a, a)), node.b)
 
 
 def _repair_id_cu(node: Derivation) -> Derivation:

@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from .derivation import (
     ACD,
     AIU,
-    GCU,
     GIU,
     GWD,
     GWU,
     KS,
     KS_PLUS,
     Derivation,
+    cocontract_copies,
     compose,
     dedupe_disjunction,
     dualize,
@@ -316,14 +316,6 @@ def _sources(line):
     return (line.source,) if isinstance(line, Wk) else (line.left, line.right)
 
 
-def _copies(f: Formula, copies: int) -> Derivation:
-    """From f to a conjunction of `copies` copies of it (to T for none)."""
-    d = leaf(f) if copies else expand_generic(GWU, f)
-    for _ in range(copies - 1):
-        d = glue(expand_generic(GCU, f), compose("and", leaf(f), d))
-    return d
-
-
 def translate_R(pi: ResDerivation, axioms) -> Derivation:
     """The inductive translation of a Resolution derivation.
 
@@ -336,7 +328,12 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
     report = check_res(pi, axioms)
     if not report.ok:
         raise ResCheckFailure(report)
-    clauses = report.clauses
+    return _translate(pi, axioms, report.clauses)
+
+
+def _translate(pi: ResDerivation, axioms, clauses) -> Derivation:
+    """translate_R of a derivation that check_res passed, with the clauses
+    it gave."""
     forms = [c.formula() for c in clauses]
     uses = [0] * len(pi.lines)
     for line in pi.lines:
@@ -352,9 +349,9 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
     axiom_fs = [make_clause(c.elements, pi.mode).formula() for c in axioms]
     d = leaf(conj_all(axiom_fs))
     if any(k != 1 for k in taken):  # copy the axioms out of the premiss
-        block = _copies(axiom_fs[0], taken[0])
+        block = cocontract_copies(axiom_fs[0], taken[0])
         for f, k in zip(axiom_fs[1:], taken[1:]):
-            block = compose("and", block, _copies(f, k))
+            block = compose("and", block, cocontract_copies(f, k))
         d = glue(d, block)
 
     for i, line in enumerate(pi.lines):
@@ -374,7 +371,7 @@ def translate_R(pi: ResDerivation, axioms) -> Derivation:
             continue
         pending = {s: ds for s, ds in pending.items() if ds}  # drop the lines used up
         rest = [premiss(p) for ds in pending.values() for p in ds]
-        block = glue(upper, inner, _copies(forms[i], copies[i]))
+        block = glue(upper, inner, cocontract_copies(forms[i], copies[i]))
         if rest:
             block = compose("and", leaf(conj_all(rest)), block)
         d = glue(d, block)
@@ -470,7 +467,7 @@ def simulate(pi: ResDerivation, axioms, with_proofs: bool = False):
     if pi.mode == "set" and not pi.tree_like:
         raise UnsupportedModeError("set-mode refutations are only supported tree-like")
 
-    r_der = translate_R(pi, axioms)
+    r_der = _translate(pi, axioms, report.clauses)
     if pi.mode == "multiset" and rule_census(r_der).get(ACD, 0) != 0:
         raise AssertionError("multiset translation produced contraction steps")
 

@@ -37,6 +37,7 @@ from .derivation import (
     Derivation,
     bottom_up,
     check,
+    cocontract_copies,
     compose,
     conclusion,
     contract_copies,
@@ -44,7 +45,6 @@ from .derivation import (
     disj_compose,
     ensure_checked,
     expand_generic,
-    fan_literal,
     glue,
     in_context,
     is_proof,
@@ -158,9 +158,7 @@ def _bridge(g: Formula, phi_premiss: Formula) -> Derivation:
             m = counts.get((part.a, part.b), 0)
             if counts.get((part.a, not part.b), 0):
                 raise SimulationError("an unsatisfied literal was used")
-            if m == 0:
-                return step(AWU, leaf(part), leaf(top))
-            return fan_literal(part, m)
+            return cocontract_copies(part, m)
         return compose("and", rec(part.a), rec(part.b))
 
     return glue(rec(g), leaf(phi_premiss))
@@ -521,7 +519,7 @@ def phi_st(n: int, s: int, t: int, variant: str) -> Derivation:
     if others:
         host = disj(conj(a, v), conj(an, w))
         if len(others) > 1:
-            d = glue(d, in_context(host, (0, 0), fan_literal(a, len(others))))
+            d = glue(d, in_context(host, (0, 0), cocontract_copies(a, len(others))))
             host = disj(conj(conj_all([a] * len(others)), v), conj(an, w))
             d = glue(d, in_context(host, (0,), _distribute(a, others)))
         present = prods + [row]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -30,6 +31,7 @@ from deepflow.derivation import (
     SksdSyntaxError,
     SubstitutionError,
     check,
+    cocontract_copies,
     compose,
     conclusion,
     contract_copies,
@@ -41,7 +43,6 @@ from deepflow.derivation import (
     dualize,
     endpoints,
     expand_generic,
-    fan_literal,
     glue,
     in_context,
     iter_nodes,
@@ -63,6 +64,7 @@ from deepflow.formula import (
     FormulaSyntaxError,
     bot,
     conj,
+    conj_all,
     disj,
     disj_all,
     dual,
@@ -265,6 +267,12 @@ def test_compiler_gadgets_endpoints(copies):
     d = contract_copies(f, copies)
     assert endpoints(d) == (disj_all([f] * copies), f)
     assert check(d, KS).ok
+    d = cocontract_copies(f, copies)
+    assert endpoints(d) == (f, conj_all([f] * copies))
+    assert check(d, KS_PLUS).ok
+    d = cocontract_copies(f, 0)
+    assert endpoints(d) == (f, top)
+    assert check(d, KS_PLUS).ok
     d = weaken_left(f, disj(b, c))
     assert endpoints(d) == (disj(bot, f), disj(disj(b, c), f))
     assert check(d, KS).ok
@@ -333,9 +341,25 @@ def test_builders():
     d = dedupe_disjunction([a, b, a])
     assert check(d, KS).ok
     assert eq_mod(conclusion(d), disj(a, b))
-    f = fan_literal(a, 3)
+    f = cocontract_copies(a, 3)
     assert check(f, SKS).ok
     assert conclusion(f) == conj(a, conj(a, a))
+
+
+def test_dedupe_disjunction_grows_linearly_under_the_default_recursion_limit():
+    def dedupe(k):
+        d = dedupe_disjunction([a] * k + [b])
+        assert endpoints(d) == (disj_all([a] * k + [b]), disj(a, b))
+        assert check(d, KS).ok
+        return d
+
+    assert size(dedupe(256)) <= 4.2 * size(dedupe(64))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        dedupe(1500)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_sksd_round_trip():

@@ -22,7 +22,7 @@ def digest(text):
 
 @pytest.mark.parametrize(
     "variant, expected",
-    [("F", "a4f9197e327f51c5"), ("O", "914dece223813797"), ("OF", "823dfde3377d2e02")],
+    [("F", "aea3d5b6da852e43"), ("O", "10e5a252b1058ba7"), ("OF", "d3661135f311e6bd")],
     ids=["F", "O", "OF"],
 )
 def test_php_proof_bytes(variant, expected):
@@ -46,8 +46,8 @@ def _resolution_f_refutation():
     [
         (lambda: truthtable_ks(fparse("((~a|~b)|(a&b))")), "b41478909d8c7180"),
         (lambda: truthtable_ks(fparse("(((a&b)&c)|((~a|~b)|~c))")), "08cb0c39f8b1255d"),
-        (lambda: switch_cut(sks_php_proof(2)), "356b6c10d3004f80"),
-        (lambda: simulate(*_resolution_f_refutation()), "f849206f795c4d42"),
+        (lambda: switch_cut(sks_php_proof(2)), "06fc33a97d369a54"),
+        (lambda: simulate(*_resolution_f_refutation()), "262849803b490e8e"),
         (lambda: simulate(*php_refutation(multiset=True)), "c4eda9bc993a8a00"),
     ],
     ids=["truthtable-2", "truthtable-3", "switch-cut-php-2", "resolution-f", "php-refutation-multiset"],

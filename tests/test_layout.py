@@ -22,6 +22,25 @@ def test_no_private_names_imported_across_modules():
     assert not found, found
 
 
+def test_every_imported_name_is_used():
+    """No module but __init__, which re-exports, imports a name it does not use."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name} unused" for name in names if name not in used]
+    assert not found, found
+
+
 def test_no_imports_inside_functions():
     """Every module imports at its top, so its dependencies show there."""
     found = []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import LOOPING_REFUTATION
+from deepflow import resolution
 from deepflow.derivation import (
     ACD,
     ACU,
@@ -279,6 +280,18 @@ def test_simulate_rejects_modes_and_failures():
     pi3.add(Axiom(5))
     with pytest.raises(ResCheckFailure):
         translate_R(pi3, ax2)
+
+
+def test_simulate_checks_the_refutation_once(monkeypatch):
+    calls = []
+
+    def counting(pi, axioms):
+        calls.append(pi)
+        return check_res(pi, axioms)
+
+    monkeypatch.setattr(resolution, "check_res", counting)
+    simulate(*three_clause_tree())
+    assert len(calls) == 1
 
 
 def test_wk_lines():
